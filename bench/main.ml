@@ -25,6 +25,7 @@ module Topology = Pqc_transpile.Topology
 module Slice = Pqc_transpile.Slice
 module Route = Pqc_transpile.Route
 module Gate_times = Pqc_pulse.Gate_times
+module Pulse_model = Pqc_pulse.Pulse_model
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
 module Hyperopt = Pqc_hyperopt.Hyperopt

@@ -480,6 +480,9 @@ let run_analyze file benchmark cache max_width json sarif disable promote
     match (file, benchmark) with
     | Some _, Some _ -> usage "pass either FILE or --benchmark, not both"
     | None, None -> usage "nothing to analyze (pass FILE or --benchmark)"
+    | _ when max_width < 2 ->
+      usage
+        (Printf.sprintf "--max-width %d is below the minimum of 2" max_width)
     | _ -> (
       let circuit =
         match (file, benchmark) with
@@ -512,16 +515,16 @@ let run_analyze file benchmark cache max_width json sarif disable promote
           A.Runner.analyze ~overrides ?cache_file:cache ~max_width c
         in
         let advice =
-          A.Runner.advise ~max_width ~latency_budget_s:latency_budget c
+          Advisor.advise ~max_width ~latency_budget_s:latency_budget c
         in
         if json then
           Printf.printf "{\"report\":%s,\"advice\":%s}\n"
             (A.Runner.to_json report)
-            (A.Cost.advice_to_json advice)
+            (Advisor.advice_to_json advice)
         else begin
           print_report ~json:false report;
           print_newline ();
-          print_endline (A.Cost.advice_to_string advice)
+          print_endline (Advisor.advice_to_string advice)
         end;
         match write_sarif report with
         | Ok () ->

@@ -1,22 +1,7 @@
 module Circuit = Pqc_quantum.Circuit
 module Block = Pqc_transpile.Block
-module Slice = Pqc_transpile.Slice
 module Gate_times = Pqc_pulse.Gate_times
-module Grape = Pqc_grape.Grape
-
-(* The model engine discretizes a pulse of the predicted duration at the
-   fast-settings sample period; the cost model must use the very same
-   constant or its latency predictions drift from Engine.model's. *)
-let model_dt = Grape.fast_settings.Grape.dt
-
-type estimate = {
-  target : Rule.target;
-  feasible : bool;
-  pulse_ns : float;
-  precompute_s : float;
-  per_iteration_s : float;
-  blocks : int;
-}
+module Pulse_model = Pqc_pulse.Pulse_model
 
 type block_advice = {
   qubits : int list;
@@ -27,206 +12,11 @@ type block_advice = {
   use_pulse : bool;
 }
 
-type advice = {
-  recommended : Rule.target;
-  estimates : estimate list;
-  blocks : block_advice list;
-  monotone : bool;
-  resliceable : bool;
-}
-
 (* A representative binding for purely static analysis: pi/2 everywhere
    avoids the zero-angle degeneracies (an Rz(0) prices as free) without
    favouring any particular gate. *)
 let canonical_theta c =
   Array.make (Circuit.n_params c) (Float.pi /. 2.0)
-
-(* Mirrors Engine.model_steps at Grape.fast_settings. *)
-let model_steps duration =
-  max 2 (int_of_float (Float.max duration 1.0 /. model_dt))
-
-(* Mirrors Engine.model_search: modelled minimal duration plus the
-   modelled seconds of the minimal-time binary search (probes x default
-   iterations, each priced per time slice).  Empty blocks are free, as in
-   Engine.search. *)
-let search_estimate c =
-  if Circuit.length c = 0 then (0.0, 0.0)
-  else if Circuit.n_qubits c > Rule.grape_width_cap then
-    (* GRAPE cannot compile the block at all (PQC030 reports it); the
-       model prices it as unattainable rather than raising. *)
-    (Float.infinity, Float.infinity)
-  else
-    let width = Circuit.n_qubits c in
-    let duration = Pulse_model.block_duration c in
-    let steps = model_steps duration in
-    let iters =
-      Latency_model.probes_per_search * Latency_model.default_iterations width
-    in
-    ( duration,
-      float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps )
-
-(* Mirrors Engine.hyperopt_cost on the model engine. *)
-let hyperopt_seconds ~width ~duration =
-  let iters =
-    Latency_model.hyperopt_grid_evals * Latency_model.default_iterations width
-  in
-  let steps = model_steps duration in
-  float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps
-
-(* Mirrors Engine.tuned_run_cost on the model engine. *)
-let tuned_seconds ~width ~duration =
-  let iters =
-    float_of_int (Latency_model.default_iterations width)
-    /. Latency_model.tuning_speedup width
-  in
-  let steps = model_steps duration in
-  iters *. Latency_model.seconds_per_iteration ~width ~steps
-
-(* Mirrors Strategy.makespan: per-qubit occupancy scheduling of block
-   jobs (reimplemented here because the analysis layer sits below
-   pqc_core). *)
-let makespan ~n jobs =
-  let free = Array.make n 0.0 in
-  List.fold_left
-    (fun acc (qubits, duration) ->
-      let start =
-        List.fold_left (fun t q -> Float.max t free.(q)) 0.0 qubits
-      in
-      let finish = start +. duration in
-      List.iter (fun q -> free.(q) <- finish) qubits;
-      Float.max acc finish)
-    0.0 jobs
-
-let block_jobs ~max_width bound =
-  Block.partition ~max_width bound
-  |> List.map (fun (b : Block.block) ->
-         let d, s = search_estimate (Block.extract b) in
-         (b.qubits, d, s))
-
-let gate_estimate c ~theta =
-  { target = Rule.Gate_based;
-    feasible = true;
-    pulse_ns = Gate_times.circuit_duration (Circuit.bind c theta);
-    precompute_s = 0.0;
-    per_iteration_s = 0.0;
-    blocks = 0 }
-
-let full_grape_estimate ~max_width c ~theta =
-  let bound = Circuit.bind c theta in
-  let jobs = block_jobs ~max_width bound in
-  let per_iteration = List.fold_left (fun acc (_, _, s) -> acc +. s) 0.0 jobs in
-  { target = Rule.Full_grape;
-    feasible = true;
-    pulse_ns =
-      makespan ~n:(Circuit.n_qubits c)
-        (List.map (fun (q, d, _) -> (q, d)) jobs);
-    precompute_s = 0.0;
-    per_iteration_s = per_iteration;
-    blocks = List.length jobs }
-
-(* Mirrors Compiler.strict_jobs for one slicing: Fixed slices are blocked
-   and priced by the search model, parametrized gates by the lookup
-   table. *)
-let strict_slicing_jobs ~max_width ~theta slices =
-  let cost = ref 0.0 in
-  let nblocks = ref 0 in
-  let jobs =
-    List.concat_map
-      (fun (s : Slice.slice) ->
-        match s.var with
-        | None ->
-          Block.partition ~max_width s.circuit
-          |> List.map (fun (b : Block.block) ->
-                 let d, sec = search_estimate (Block.extract b) in
-                 cost := !cost +. sec;
-                 incr nblocks;
-                 (b.qubits, d))
-        | Some _ ->
-          Array.to_list (Circuit.instrs (Circuit.bind s.circuit theta))
-          |> List.map (fun (i : Circuit.instr) ->
-                 (Array.to_list i.qubits, Gate_times.instr_duration i)))
-      slices
-  in
-  (jobs, !cost, !nblocks)
-
-let strict_estimate ~max_width c ~theta =
-  let n = Circuit.n_qubits c in
-  let region_jobs, region_cost, region_blocks =
-    strict_slicing_jobs ~max_width ~theta (Slice.strict c)
-  in
-  let linear_jobs, linear_cost, linear_blocks =
-    strict_slicing_jobs ~max_width ~theta (Slice.strict_linear c)
-  in
-  let region_span = makespan ~n region_jobs in
-  let linear_span = makespan ~n linear_jobs in
-  let raw, precompute, blocks =
-    if region_span <= linear_span then
-      (region_span, region_cost, region_blocks)
-    else (linear_span, linear_cost, linear_blocks)
-  in
-  let fallback = Gate_times.circuit_duration (Circuit.bind c theta) in
-  { target = Rule.Strict_partial;
-    feasible = true;
-    pulse_ns = Float.min raw fallback;
-    (* Both slicings are compiled offline (the shorter schedule wins), so
-       both batches' search time is paid — mirror Compiler.strict_partial,
-       which reports only the surviving slicing's cost in [precompute] but
-       runs both.  We price the surviving slicing, matching the compiled
-       result's accounting. *)
-    precompute_s = precompute;
-    per_iteration_s = 0.0;
-    blocks }
-
-let flexible_estimate ~max_width c ~theta =
-  if not (Slice.is_monotone c) then
-    { target = Rule.Flexible_partial;
-      feasible = false;
-      pulse_ns = Float.infinity;
-      precompute_s = 0.0;
-      per_iteration_s = 0.0;
-      blocks = 0 }
-  else
-    let n = Circuit.n_qubits c in
-    let items =
-      List.concat_map
-        (fun (s : Slice.slice) ->
-          Block.partition ~max_width s.circuit
-          |> List.map (fun (b : Block.block) ->
-                 (b, Circuit.bind (Block.extract b) theta)))
-        (Slice.flexible c)
-    in
-    let precompute = ref 0.0 in
-    let per_iteration = ref 0.0 in
-    let jobs =
-      List.map
-        (fun ((b : Block.block), bound) ->
-          let d, search_s = search_estimate bound in
-          let width = Circuit.n_qubits bound in
-          if Circuit.length bound > 0 then begin
-            precompute :=
-              !precompute +. search_s +. hyperopt_seconds ~width ~duration:d;
-            per_iteration :=
-              !per_iteration +. tuned_seconds ~width ~duration:d
-          end;
-          (b.qubits, d))
-        items
-    in
-    { target = Rule.Flexible_partial;
-      feasible = true;
-      pulse_ns = makespan ~n jobs;
-      precompute_s = !precompute;
-      per_iteration_s = !per_iteration;
-      blocks = List.length items }
-
-let estimate ?(max_width = Rule.grape_width_cap) ?theta c target =
-  let theta =
-    match theta with Some t -> t | None -> canonical_theta c
-  in
-  match target with
-  | Rule.Gate_based -> gate_estimate c ~theta
-  | Rule.Strict_partial -> strict_estimate ~max_width c ~theta
-  | Rule.Flexible_partial -> flexible_estimate ~max_width c ~theta
-  | Rule.Full_grape -> full_grape_estimate ~max_width c ~theta
 
 let block_advices ?(max_width = Rule.grape_width_cap) ?theta c =
   let theta =
@@ -250,107 +40,3 @@ let block_advices ?(max_width = Rule.grape_width_cap) ?theta c =
            (* Strictly better beyond float noise: a tie (the model caps
               GRAPE at the lookup-table time) means pulses buy nothing. *)
            use_pulse = grape_ns < gate_ns *. (1.0 -. 1e-9) })
-
-let all_targets =
-  [ Rule.Gate_based; Rule.Strict_partial; Rule.Flexible_partial;
-    Rule.Full_grape ]
-
-(* Recommendation: among strategies that are feasible and fit the
-   per-iteration latency budget, the shortest predicted pulse wins; ties
-   break toward lower latency, then lower precompute, then the paper's
-   presentation order.  Gate-based is always admissible (zero latency),
-   so a recommendation always exists. *)
-let advise ?(max_width = Rule.grape_width_cap) ?(latency_budget_s = 1.0)
-    ?theta c =
-  let theta =
-    match theta with Some t -> t | None -> canonical_theta c
-  in
-  let estimates = List.map (estimate ~max_width ~theta c) all_targets in
-  let monotone = Slice.is_monotone c in
-  let resliceable = (not monotone) && Dataflow.reslice c <> None in
-  let admissible e = e.feasible && e.per_iteration_s <= latency_budget_s in
-  let better a b =
-    (* true when [a] beats [b] *)
-    if a.pulse_ns <> b.pulse_ns then a.pulse_ns < b.pulse_ns
-    else if a.per_iteration_s <> b.per_iteration_s then
-      a.per_iteration_s < b.per_iteration_s
-    else a.precompute_s < b.precompute_s
-  in
-  let recommended =
-    List.fold_left
-      (fun best e ->
-        if not (admissible e) then best
-        else
-          match best with
-          | None -> Some e
-          | Some b -> if better e b then Some e else best)
-      None estimates
-  in
-  let recommended =
-    match recommended with
-    | Some e -> e.target
-    | None -> Rule.Gate_based (* unreachable: gate-based is admissible *)
-  in
-  { recommended;
-    estimates;
-    blocks = block_advices ~max_width ~theta c;
-    monotone;
-    resliceable }
-
-(* --- rendering --- *)
-
-let estimate_to_string e =
-  if not e.feasible then
-    Printf.sprintf "%-16s infeasible (non-monotone circuit)"
-      (Rule.target_to_string e.target)
-  else
-    Printf.sprintf
-      "%-16s pulse %8.1f ns   precompute %10.3f s   per-iter %10.3f s   \
-       blocks %d"
-      (Rule.target_to_string e.target)
-      e.pulse_ns e.precompute_s e.per_iteration_s e.blocks
-
-let advice_to_string a =
-  let lines =
-    [ Printf.sprintf "recommended: %s" (Rule.target_to_string a.recommended);
-      Printf.sprintf "monotone: %b%s" a.monotone
-        (if a.resliceable then " (reslicable by commutation)" else "") ]
-    @ List.map estimate_to_string a.estimates
-    @ List.map
-        (fun b ->
-          Printf.sprintf
-            "block {%s} @%d-%d: gate %.2f ns, grape %.2f ns -> %s"
-            (String.concat "," (List.map string_of_int b.qubits))
-            b.first b.last b.gate_ns b.grape_ns
-            (if b.use_pulse then "pulse" else "gate lookup"))
-        a.blocks
-  in
-  String.concat "\n" lines
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-
-let estimate_to_json e =
-  Printf.sprintf
-    "{\"strategy\":\"%s\",\"feasible\":%b,\"pulse_ns\":%s,\
-     \"precompute_s\":%s,\"per_iteration_s\":%s,\"blocks\":%d}"
-    (Rule.target_to_string e.target)
-    e.feasible (json_float e.pulse_ns) (json_float e.precompute_s)
-    (json_float e.per_iteration_s)
-    e.blocks
-
-let block_to_json b =
-  Printf.sprintf
-    "{\"qubits\":[%s],\"first\":%d,\"last\":%d,\"gate_ns\":%s,\
-     \"grape_ns\":%s,\"use_pulse\":%b}"
-    (String.concat "," (List.map string_of_int b.qubits))
-    b.first b.last (json_float b.gate_ns) (json_float b.grape_ns) b.use_pulse
-
-let advice_to_json a =
-  Printf.sprintf
-    "{\"recommended\":\"%s\",\"monotone\":%b,\"resliceable\":%b,\
-     \"estimates\":[%s],\"blocks\":[%s]}"
-    (Rule.target_to_string a.recommended)
-    a.monotone a.resliceable
-    (String.concat "," (List.map estimate_to_json a.estimates))
-    (String.concat "," (List.map block_to_json a.blocks))

@@ -1,28 +1,9 @@
 module Circuit = Pqc_quantum.Circuit
-(** Static per-strategy cost model: predicted pulse duration and compile
-    latency for each compilation strategy, without running GRAPE.
-
-    The predictions mirror the calibrated model engine exactly — the same
-    {!Pulse_model} block pricing, the same {!Latency_model} iteration
-    counts, the same step discretization at {!model_dt} — so an estimate
-    here equals what [Compiler.compile ~engine:Engine.model] reports
-    (held by test); against the numeric engine they are the documented
-    calibrated approximation (EXPERIMENTS.md). *)
-
-val model_dt : float
-(** Sample period (ns) the latency model discretizes pulses at; equal to
-    [Grape.fast_settings.dt], which the model engine uses. *)
-
-type estimate = {
-  target : Rule.target;
-  feasible : bool;
-      (** False only for flexible partial compilation on a non-monotone
-          circuit (the slicer would refuse). *)
-  pulse_ns : float;  (** Predicted pulse duration ([infinity] if infeasible). *)
-  precompute_s : float;  (** One-off offline compilation seconds. *)
-  per_iteration_s : float;  (** Compilation seconds per variational iteration. *)
-  blocks : int;  (** GRAPE blocks the strategy would compile. *)
-}
+(** Per-block gate-vs-pulse pricing: for each block of the circuit's
+    blocking, whether a GRAPE pulse ({!Pqc_pulse.Pulse_model}) beats the
+    gate lookup table.  Whole-strategy pricing lives in
+    [Pqc_core.Advisor], which compiles each strategy on the model
+    engine. *)
 
 type block_advice = {
   qubits : int list;
@@ -35,38 +16,13 @@ type block_advice = {
           the hybrid gate-pulse decision bit (ROADMAP). *)
 }
 
-type advice = {
-  recommended : Rule.target;
-  estimates : estimate list;  (** One per strategy, presentation order. *)
-  blocks : block_advice list;
-  monotone : bool;
-  resliceable : bool;
-      (** Non-monotone but {!Dataflow.reslice} finds a monotone
-          commutation-equivalent order. *)
-}
-
 val canonical_theta : Circuit.t -> float array
 (** The binding used when none is supplied: pi/2 for every parameter
     (avoids zero-angle degeneracies). *)
 
-val estimate : ?max_width:int -> ?theta:float array -> Circuit.t ->
-  Rule.target -> estimate
-(** Predict one strategy.  [max_width] defaults to
-    {!Rule.grape_width_cap}; [theta] to {!canonical_theta}. *)
-
 val block_advices : ?max_width:int -> ?theta:float array -> Circuit.t ->
   block_advice list
-(** Per-block gate-vs-pulse pricing of the whole circuit's blocking. *)
-
-val advise : ?max_width:int -> ?latency_budget_s:float ->
-  ?theta:float array -> Circuit.t -> advice
-(** Full advisory: all four estimates, the per-block decisions, and a
-    recommendation — the shortest predicted pulse among feasible
-    strategies whose per-iteration latency fits [latency_budget_s]
-    (default 1 s); ties break toward lower latency, then lower
-    precompute.  Gate-based always fits, so a recommendation always
-    exists.  Deterministic: no randomness, no wall clock. *)
-
-val estimate_to_string : estimate -> string
-val advice_to_string : advice -> string
-val advice_to_json : advice -> string
+(** Per-block gate-vs-pulse pricing of the whole circuit's blocking.
+    [max_width] defaults to {!Rule.grape_width_cap}; [theta] to
+    {!canonical_theta}.  Raises [Invalid_argument] when [max_width < 2]
+    (a budget {!Pqc_transpile.Block.partition} rejects). *)

@@ -530,23 +530,26 @@ let block_beats_grape =
     check =
       Structural
         (fun ctx c ->
-          Cost.block_advices ~max_width:ctx.max_width c
-          |> List.filter_map (fun (b : Cost.block_advice) ->
-                 if b.use_pulse || b.last - b.first < 1 then None
-                 else
-                   Some
-                     (Diagnostic.info ~rule:"PQC062"
-                        ~span:(Diagnostic.span ~first:b.first ~last:b.last)
-                        ~hint:
-                          "a hybrid gate-pulse compiler would keep this \
-                           block gate-based"
-                        (Printf.sprintf
-                           "block on qubits {%s}: predicted GRAPE pulse \
-                            %.2f ns does not beat the %.2f ns lookup \
-                            table"
-                           (String.concat ","
-                              (List.map string_of_int b.qubits))
-                           b.grape_ns b.gate_ns)))) }
+          (* Below 2 no blocking exists; PQC030 reports the budget. *)
+          if ctx.max_width < 2 then []
+          else
+            Cost.block_advices ~max_width:ctx.max_width c
+            |> List.filter_map (fun (b : Cost.block_advice) ->
+                   if b.use_pulse || b.last - b.first < 1 then None
+                   else
+                     Some
+                       (Diagnostic.info ~rule:"PQC062"
+                          ~span:(Diagnostic.span ~first:b.first ~last:b.last)
+                          ~hint:
+                            "a hybrid gate-pulse compiler would keep this \
+                             block gate-based"
+                          (Printf.sprintf
+                             "block on qubits {%s}: predicted GRAPE pulse \
+                              %.2f ns does not beat the %.2f ns lookup \
+                              table"
+                             (String.concat ","
+                                (List.map string_of_int b.qubits))
+                             b.grape_ns b.gate_ns)))) }
 
 (* ------------------------------------------------------------------ *)
 (* Pulse-cache audit                                                   *)

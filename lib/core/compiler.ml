@@ -72,6 +72,19 @@ let pulse_of_jobs jobs =
          Pulse.Optimized { label = j.label; duration = j.duration; samples = None })
        jobs)
 
+(* Engine blocks are the segments labelled by [block_label] or as a
+   flexible slice; strict's lookup-priced theta gates are Optimized
+   segments too, but carry the gate's name. *)
+let engine_blocks (r : Strategy.compiled) =
+  List.length
+    (List.filter
+       (function
+         | Pulse.Optimized { label; _ } ->
+           String.starts_with ~prefix:"block[" label
+           || String.starts_with ~prefix:"slice[" label
+         | Pulse.Lookup _ -> false)
+       (Pulse.segments r.Strategy.pulse))
+
 let full_grape ?workers ?(max_width = 4) ~engine c ~theta =
   let bound = Circuit.bind c theta in
   let jobs, cost, degs, pstats = block_jobs ?workers ~max_width ~engine bound in
@@ -217,15 +230,15 @@ let flexible_partial ?workers ?(max_width = 4) ~engine c ~theta =
     degradations = List.rev !degs @ pool_degs;
     pool = pstats }
 
-type strategy = Gate_based | Strict_partial | Flexible_partial | Full_grape
+type strategy = Pqc_analysis.Rule.target =
+  | Gate_based
+  | Strict_partial
+  | Flexible_partial
+  | Full_grape
 
 let all_strategies = [ Gate_based; Strict_partial; Flexible_partial; Full_grape ]
 
-let strategy_name = function
-  | Gate_based -> "gate-based"
-  | Strict_partial -> "strict-partial"
-  | Flexible_partial -> "flexible-partial"
-  | Full_grape -> "full-grape"
+let strategy_name = Pqc_analysis.Rule.target_to_string
 
 let run_strategy ?workers ~max_width ~engine strategy c ~theta =
   Pqc_obs.Obs.Span.with_ ~name:"compiler.strategy"
@@ -248,18 +261,6 @@ let degrade_chain = function
 let usable (r : Strategy.compiled) =
   Float.is_finite r.Strategy.duration_ns && r.Strategy.duration_ns >= 0.0
 
-let analysis_target = function
-  | Gate_based -> Pqc_analysis.Rule.Gate_based
-  | Strict_partial -> Pqc_analysis.Rule.Strict_partial
-  | Flexible_partial -> Pqc_analysis.Rule.Flexible_partial
-  | Full_grape -> Pqc_analysis.Rule.Full_grape
-
-let strategy_of_target = function
-  | Pqc_analysis.Rule.Gate_based -> Gate_based
-  | Pqc_analysis.Rule.Strict_partial -> Strict_partial
-  | Pqc_analysis.Rule.Flexible_partial -> Flexible_partial
-  | Pqc_analysis.Rule.Full_grape -> Full_grape
-
 (* Fail-fast gate: no GRAPE time is spent on a circuit that violates the
    invariants the strategies rely on.  Errors abort (Runner.Rejected);
    warnings become degradation records so the accounting that already
@@ -268,7 +269,7 @@ let analysis_gate ~max_width strategy c ~theta =
   Pqc_obs.Obs.Span.with_ ~name:"compiler.analysis" @@ fun () ->
   let report =
     Pqc_analysis.Runner.analyze ~theta_len:(Array.length theta) ~max_width
-      ~target:(analysis_target strategy) c
+      ~target:strategy c
   in
   if Pqc_analysis.Runner.has_errors report then
     raise (Pqc_analysis.Runner.Rejected report);
@@ -279,7 +280,7 @@ let analysis_gate ~max_width strategy c ~theta =
         run_id = Pqc_obs.Obs.Ctx.current () })
     (Pqc_analysis.Runner.warnings report)
 
-let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
+let compile ?workers ?(max_width = 4) ?(analysis = true) ~engine
     strategy c ~theta =
   (* Every top-level compile gets a correlation id.  An ambient context
      (set by a batch driver like the bench matrix) wins; otherwise a
@@ -294,25 +295,6 @@ let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
     | None -> Some (Ctx.mint ("compile:" ^ strategy_name strategy))
   in
   Ctx.with_ctx ctx @@ fun () ->
-  (* When the static advisor recommends exactly the requested strategy,
-     this is a no-op: same strategy, no extra degradation record, so the
-     compiled result is bit-identical to the unadvised call (held by
-     test).  Only a differing recommendation switches the strategy, and
-     that switch is recorded like every other degradation. *)
-  let strategy, advisor_degs =
-    match advice with
-    | None -> (strategy, [])
-    | Some (a : Pqc_analysis.Cost.advice) ->
-      let recommended = strategy_of_target a.Pqc_analysis.Cost.recommended in
-      if recommended = strategy then (strategy, [])
-      else
-        ( recommended,
-          [ { Resilience.stage = "advisor"; reason = Resilience.Lint;
-              detail =
-                Printf.sprintf "advisor switched %s to %s"
-                  (strategy_name strategy) (strategy_name recommended);
-              run_id = Pqc_obs.Obs.Ctx.current () } ] )
-  in
   Pqc_obs.Obs.Span.with_ ~name:"compiler.compile"
     ~attrs:
       [ ("strategy", strategy_name strategy);
@@ -320,8 +302,7 @@ let compile ?workers ?(max_width = 4) ?(analysis = true) ?advice ~engine
         ("gates", string_of_int (Circuit.length c)) ]
   @@ fun () ->
   let lint_degs =
-    advisor_degs
-    @ (if analysis then analysis_gate ~max_width strategy c ~theta else [])
+    if analysis then analysis_gate ~max_width strategy c ~theta else []
   in
   let rec go degs = function
     | [] -> assert false (* chains always end in Gate_based *)

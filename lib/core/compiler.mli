@@ -52,12 +52,23 @@ val flexible_partial :
 (** Requires parameter monotonicity (guaranteed for {!Pqc_vqe.Uccsd} and
     {!Pqc_qaoa.Qaoa} circuits). *)
 
-type strategy = Gate_based | Strict_partial | Flexible_partial | Full_grape
+type strategy = Pqc_analysis.Rule.target =
+  | Gate_based
+  | Strict_partial
+  | Flexible_partial
+  | Full_grape
+(** The analyzer's target type: one enum names a strategy everywhere. *)
 
 val all_strategies : strategy list
 (** In the paper's presentation order. *)
 
 val strategy_name : strategy -> string
+(** {!Pqc_analysis.Rule.target_to_string}. *)
+
+val engine_blocks : Strategy.compiled -> int
+(** Engine blocks in a compiled schedule: the GRAPE-priced block and
+    slice segments, not the lookup-priced gates strict partial
+    compilation concatenates between them. *)
 
 val degrade_chain : strategy -> strategy list
 (** The graceful-degradation ladder {!compile} walks, requested strategy
@@ -65,12 +76,8 @@ val degrade_chain : strategy -> strategy list
     strict too).  Gate-based is the terminal rung — pure table lookups
     that cannot fail. *)
 
-val strategy_of_target : Pqc_analysis.Rule.target -> strategy
-(** Inverse of the strategy-to-analysis-target mapping. *)
-
 val compile :
-  ?workers:int -> ?max_width:int -> ?analysis:bool ->
-  ?advice:Pqc_analysis.Cost.advice -> engine:Engine.t ->
+  ?workers:int -> ?max_width:int -> ?analysis:bool -> engine:Engine.t ->
   strategy -> Circuit.t -> theta:float array -> Strategy.compiled
 (** Fault-tolerant compilation entry point: runs the requested strategy
     and, if it raises or yields a non-finite duration, walks
@@ -84,10 +91,4 @@ val compile :
     ({!Pqc_analysis.Runner}) gates the whole pipeline first: any [Error]
     diagnostic raises {!Pqc_analysis.Runner.Rejected} before a single
     GRAPE search starts, and [Warning] diagnostics are recorded as
-    [Resilience.Lint] degradations in the result.
-
-    When [advice] (from {!Pqc_analysis.Runner.advise}) is given and its
-    recommendation differs from [strategy], the recommended strategy is
-    compiled instead and the switch is recorded as an ["advisor"]
-    degradation.  When the recommendation equals [strategy], the call is
-    bit-identical to the unadvised one (held by test). *)
+    [Resilience.Lint] degradations in the result. *)

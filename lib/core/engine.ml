@@ -2,6 +2,7 @@ module Gate = Pqc_quantum.Gate
 module Param = Pqc_quantum.Param
 module Circuit = Pqc_quantum.Circuit
 module Gate_times = Pqc_pulse.Gate_times
+module Pulse_model = Pqc_pulse.Pulse_model
 module Grape = Pqc_grape.Grape
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Hyperopt = Pqc_hyperopt.Hyperopt
@@ -226,18 +227,26 @@ let model_steps settings duration = max 2 (int_of_float (duration /. settings.Gr
 
 let model_search c =
   let width = Circuit.n_qubits c in
-  let duration = Pulse_model.block_duration c in
-  let steps = model_steps Grape.fast_settings (Float.max duration 1.0) in
-  let iters =
-    Latency_model.probes_per_search * Latency_model.default_iterations width
+  let duration, search_cost =
+    if width > Pqc_analysis.Rule.grape_width_cap then
+      (* GRAPE cannot compile a block this wide (PQC030 reports it): the
+         model prices it as unattainable rather than raising. *)
+      (Float.infinity, { zero_cost with seconds = Float.infinity })
+    else
+      let duration = Pulse_model.block_duration c in
+      let steps = model_steps Grape.fast_settings (Float.max duration 1.0) in
+      let iters =
+        Latency_model.probes_per_search * Latency_model.default_iterations width
+      in
+      ( duration,
+        { grape_runs = Latency_model.probes_per_search;
+          grape_iterations = iters;
+          seconds =
+            float_of_int iters
+            *. Latency_model.seconds_per_iteration ~width ~steps } )
   in
   { duration_ns = duration;
-    search_cost =
-      { grape_runs = Latency_model.probes_per_search;
-        grape_iterations = iters;
-        seconds =
-          float_of_int iters
-          *. Latency_model.seconds_per_iteration ~width ~steps };
+    search_cost;
     fidelity = None;
     fallback = None;
     run_id = Obs.Ctx.current () }

@@ -4,7 +4,7 @@ module Hamiltonian = Pqc_grape.Hamiltonian
 (** Pulse-duration engine: how strategies obtain the minimal GRAPE pulse
     duration (and compilation cost) of a block.
 
-    [Model] prices blocks with the calibrated {!Pulse_model} and
+    [Model] prices blocks with the calibrated {!Pqc_pulse.Pulse_model} and
     {!Latency_model} — instant, used for the full benchmark sweeps.
     [Numeric] runs the real {!Pqc_grape.Grape} optimizer — the ground
     truth, tractable on small blocks; it is what validates the model
@@ -42,7 +42,9 @@ type block_result = {
 type t
 
 val model : t
-(** The calibrated analytic engine. *)
+(** The calibrated analytic engine.  A block wider than
+    {!Pqc_analysis.Rule.grape_width_cap} prices as unattainable: infinite
+    duration and search seconds. *)
 
 val numeric :
   ?settings:Grape.settings ->

@@ -1,7 +1,6 @@
 module Gate = Pqc_quantum.Gate
 module Param = Pqc_quantum.Param
 module Circuit = Pqc_quantum.Circuit
-module Gate_times = Pqc_pulse.Gate_times
 
 (* Any-unitary time caps, ns.  1-3 qubit values bracket our numeric GRAPE's
    worst observed block times; the 4-qubit value instantiates the paper's

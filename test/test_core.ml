@@ -5,7 +5,7 @@ module Circuit = Pqc_quantum.Circuit
 module Gate_times = Pqc_pulse.Gate_times
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Grape = Pqc_grape.Grape
-module Pulse_model = Pqc_core.Pulse_model
+module Pulse_model = Pqc_pulse.Pulse_model
 module Latency_model = Pqc_core.Latency_model
 module Engine = Pqc_core.Engine
 module Strategy = Pqc_core.Strategy
@@ -159,6 +159,14 @@ let test_engine_model_costs_populated () =
   Alcotest.(check bool) "search cost positive" true (r.Engine.search_cost.Engine.seconds > 0.0);
   Alcotest.(check int) "probes" Latency_model.probes_per_search
     r.Engine.search_cost.Engine.grape_runs
+
+let test_engine_model_wide_block_unattainable () =
+  let c = Circuit.of_gates 5 [ (Gate.CX, [0;4]); (Gate.H, [2]) ] in
+  let r = Engine.search Engine.model c in
+  Alcotest.(check bool) "infinite duration" true
+    (r.Engine.duration_ns = Float.infinity);
+  Alcotest.(check bool) "infinite seconds" true
+    (r.Engine.search_cost.Engine.seconds = Float.infinity)
 
 let test_engine_rejects_unbound () =
   let c = Circuit.of_gates 1 [ (Gate.Rz (Param.var 0), [0]) ] in
@@ -389,6 +397,8 @@ let () =
         [ Alcotest.test_case "cost arithmetic" `Quick test_engine_cost_arithmetic;
           Alcotest.test_case "empty block" `Quick test_engine_model_empty_block;
           Alcotest.test_case "model costs" `Quick test_engine_model_costs_populated;
+          Alcotest.test_case "model wide block unattainable" `Quick
+            test_engine_model_wide_block_unattainable;
           Alcotest.test_case "rejects unbound" `Quick test_engine_rejects_unbound;
           Alcotest.test_case "numeric 1q" `Slow test_engine_numeric_1q;
           Alcotest.test_case "numeric cached" `Slow test_engine_numeric_cached;
