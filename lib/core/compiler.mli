@@ -17,11 +17,23 @@ module Topology = Pqc_transpile.Topology
     - {!strict_partial}: GRAPE-precompile the parametrization-independent
       Fixed blocks once; at runtime concatenate them with lookup pulses
       for the theta gates.  Zero per-iteration latency, pulse speedup
-      governed by Fixed-block depth.
+      governed by Fixed-block depth.  Never worse than gate-based: when
+      the gate-based schedule is shorter, its duration and pulse are
+      emitted.
     - {!flexible_partial}: slice by parameter monotonicity into
       single-parameter subcircuits, precompute per-slice GRAPE
       hyperparameters; per iteration, one tuned GRAPE run per block
-      recovers full-GRAPE pulse durations at a fraction of its latency. *)
+      recovers full-GRAPE pulse durations at a fraction of its latency.
+
+    Every strategy is a θ-independent {e plan} (slicing, blocking,
+    extracted and keyed blocks, lookup pulses, the analyzer's verdict,
+    flexible's per-block tuning cost) plus a per-call bind.  Plans are
+    memoised per domain, one slot per strategy holding the most recent,
+    keyed on the physical identity of the circuit and the engine plus
+    [max_width], the analysis flag and the length of [theta]: repeated
+    calls on the same circuit value redo only the θ-dependent work.
+    Flexible's tuning cost is measured once, by the first call on a
+    plan, at that call's [theta]. *)
 
 val prepare : ?topology:Topology.t -> Circuit.t -> Circuit.t
 (** Optimization passes + routing (defaults to a line topology of the
@@ -90,5 +102,7 @@ val compile :
     Unless [analysis] is [false], the static analyzer
     ({!Pqc_analysis.Runner}) gates the whole pipeline first: any [Error]
     diagnostic raises {!Pqc_analysis.Runner.Rejected} before a single
-    GRAPE search starts, and [Warning] diagnostics are recorded as
-    [Resilience.Lint] degradations in the result. *)
+    GRAPE search starts — on every call, since a rejected report is
+    never memoised — and [Warning] diagnostics are recorded as
+    [Resilience.Lint] degradations in the result, stamped with the
+    calling request's run id. *)

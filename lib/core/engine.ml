@@ -220,10 +220,16 @@ let block_key c =
   Buffer.contents buf
 
 let require_bound c =
-  if Circuit.depends c <> [] then
+  if Circuit.parametrized_gate_count c > 0 then
     invalid_arg "Engine: block still depends on parameters (bind theta first)"
 
 let model_steps settings duration = max 2 (int_of_float (duration /. settings.Grape.dt))
+
+(* Work the model cannot price: a block wider than GRAPE's cap, and the
+   tuning and tuned runs at such a block's infinite duration (where the
+   step count would be [int_of_float infinity], which OCaml leaves
+   unspecified). *)
+let unattainable = { zero_cost with seconds = Float.infinity }
 
 let model_search c =
   let width = Circuit.n_qubits c in
@@ -231,7 +237,7 @@ let model_search c =
     if width > Pqc_analysis.Rule.grape_width_cap then
       (* GRAPE cannot compile a block this wide (PQC030 reports it): the
          model prices it as unattainable rather than raising. *)
-      (Float.infinity, { zero_cost with seconds = Float.infinity })
+      (Float.infinity, unattainable)
     else
       let duration = Pulse_model.block_duration c in
       let steps = model_steps Grape.fast_settings (Float.max duration 1.0) in
@@ -380,6 +386,7 @@ let tuned_run_cost t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
   match unwrap t with
+  | _, Base_model when not (Float.is_finite duration) -> unattainable
   | _, Base_model ->
     let iters =
       float_of_int (Latency_model.default_iterations width)
@@ -404,6 +411,7 @@ let hyperopt_cost t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
   match unwrap t with
+  | _, Base_model when not (Float.is_finite duration) -> unattainable
   | _, Base_model ->
     let iters =
       Latency_model.hyperopt_grid_evals * Latency_model.default_iterations width
@@ -515,8 +523,8 @@ let item_engine t plan idx =
    memo table, and reassemble per input order.  [compute] runs in forked
    children {e and} in the parent (sequential mode and recovery), so the
    two paths stay behaviorally identical by construction. *)
-let run_batch (type r) ?workers ?min_items t circuits
-    ~(compute : t -> Pqc_quantum.Circuit.t -> r)
+let run_batch (type r) ?workers ?min_items ?keys t circuits
+    ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
     ~(cached : numeric_config -> string -> r option)
@@ -528,38 +536,51 @@ let run_batch (type r) ?workers ?min_items t circuits
     ~attrs:[ ("items", string_of_int (List.length circuits)) ]
   @@ fun () ->
   let plan, base = unwrap t in
-  let arr = Array.of_list circuits in
-  let n = Array.length arr in
-  let keys = Array.map block_key arr in
-  let first = Hashtbl.create (2 * n + 16) in
-  Array.iteri
-    (fun i k -> if not (Hashtbl.mem first k) then Hashtbl.add first k i)
-    keys;
-  let results : r option array = Array.make n None in
+  let n = List.length circuits in
+  let keys =
+    match keys with
+    | None -> List.map block_key circuits
+    | Some ks when List.length ks = n -> ks
+    | Some _ -> invalid_arg "Engine: one key per circuit"
+  in
+  (* One result cell per distinct key, shared by its duplicates.  The
+     walk is over lists, not arrays: a batch is often thousands of
+     blocks that are all memo hits, and arrays that long would be
+     allocated on the major heap on every call. *)
+  let first : (string, r option ref) Hashtbl.t = Hashtbl.create 16 in
   let cache_hits = ref 0 in
   let todo = ref [] in
-  Array.iteri
-    (fun i k ->
-      if Hashtbl.find first k <> i then
-        (* Duplicate block: assembled from its first occurrence below. *)
-        incr cache_hits
-      else if Circuit.length arr.(i) = 0 then
-        (* Empty blocks are free; computing them in-process keeps them
-           out of the cache, exactly as the single-item path does. *)
-        results.(i) <- Some (compute t arr.(i))
-      else
-        let hit =
-          match base with
-          | Base_numeric cfg -> cached cfg k
-          | Base_model -> None
-        in
-        match hit with
-        | Some r ->
+  let cells =
+    List.mapi
+      (fun i (k, c) ->
+        match Hashtbl.find_opt first k with
+        | Some cell ->
+          (* Duplicate block: assembled from its first occurrence. *)
           incr cache_hits;
-          results.(i) <- Some r
-        | None -> todo := (i, k, arr.(i)) :: !todo)
-    keys;
-  let todo = List.rev !todo in
+          cell
+        | None ->
+          let cell = ref None in
+          Hashtbl.add first k cell;
+          (if Circuit.length c = 0 then
+             (* Empty blocks are free; computing them in-process keeps
+                them out of the cache, exactly as the single-item path
+                does. *)
+             cell := Some (compute t i c)
+           else
+             let hit =
+               match base with
+               | Base_numeric cfg -> cached cfg k
+               | Base_model -> None
+             in
+             match hit with
+             | Some r ->
+               incr cache_hits;
+               cell := Some r
+             | None -> todo := ((i, k, c), cell) :: !todo);
+          cell)
+      (List.combine keys circuits)
+  in
+  let todo, todo_cells = List.split (List.rev !todo) in
   if !cache_hits > 0 then
     Obs.count ~by:(float_of_int !cache_hits) "engine.batch.cache_hits";
   if todo <> [] then
@@ -579,7 +600,7 @@ let run_batch (type r) ?workers ?min_items t circuits
   in
   let f (idx, _k, c) =
     Obs.Ctx.with_ctx (item_ctx idx) (fun () ->
-        compute (item_engine t plan idx) c)
+        compute (item_engine t plan idx) idx c)
   in
   (* Force the chaos plan (PQC_FAULT_PLAN) to parse and install its pool
      hook before any fork, so seeded worker faults apply to this batch. *)
@@ -600,7 +621,7 @@ let run_batch (type r) ?workers ?min_items t circuits
   let degs = ref [] in
   let mismatched = ref 0 in
   List.iter2
-    (fun ((idx, k, _c) as item) ((rk, r), pool_recovered) ->
+    (fun (((idx, k, _c) as item), cell) ((rk, r), pool_recovered) ->
       let r, recovered =
         if String.equal rk k then (r, pool_recovered)
         else begin
@@ -624,13 +645,15 @@ let run_batch (type r) ?workers ?min_items t circuits
       (match base with
       | Base_numeric cfg when cacheable r -> store cfg k r
       | _ -> ());
-      results.(idx) <- Some r)
-    todo pool_out;
+      cell := Some r)
+    (List.combine todo todo_cells) pool_out;
   let out =
-    List.init n (fun i ->
-        match results.(Hashtbl.find first keys.(i)) with
+    List.map
+      (fun cell ->
+        match !cell with
         | Some r -> r
         | None -> assert false (* every first occurrence was resolved *))
+      cells
   in
   let stats =
     { workers = pstats.Pool.workers;
@@ -640,10 +663,10 @@ let run_batch (type r) ?workers ?min_items t circuits
   in
   (out, stats, List.rev !degs)
 
-let search_many ?workers ?min_items t circuits =
+let search_many ?workers ?min_items ?keys t circuits =
   let rs, stats, degs =
-    run_batch ?workers ?min_items t circuits
-      ~compute:search_flagged
+    run_batch ?workers ?min_items ?keys t circuits
+      ~compute:(fun eng _ c -> search_flagged eng c)
       ~encode:encode_search
       ~decode:decode_search
       ~cached:(fun cfg k ->
@@ -655,10 +678,20 @@ let search_many ?workers ?min_items t circuits =
 
 type flex_result = { search : block_result; hyperopt : cost; tuned : cost }
 
-let flex_many ?workers ?min_items t circuits =
-  let compute eng c =
+let flex_many ?workers ?min_items ?tuning t circuits =
+  let tuning =
+    match tuning with
+    | None -> Array.make (List.length circuits) None
+    | Some ts when List.length ts = List.length circuits -> Array.of_list ts
+    | Some _ -> invalid_arg "Engine.flex_many: one tuning slot per circuit"
+  in
+  let compute eng i c =
     let r, injected = search_flagged eng c in
-    let hyperopt = hyperopt_cost eng c ~duration:r.duration_ns in
+    let hyperopt =
+      match tuning.(i) with
+      | Some h -> h
+      | None -> hyperopt_cost eng c ~duration:r.duration_ns
+    in
     let tuned = tuned_run_cost eng c ~duration:r.duration_ns in
     ({ search = r; hyperopt; tuned }, injected)
   in
@@ -680,9 +713,9 @@ let flex_many ?workers ?min_items t circuits =
   in
   let rs, stats, degs =
     run_batch ?workers ?min_items t circuits ~compute ~encode ~decode
-      (* Hyperopt and tuned-run costs are never memoized, so every unique
-         block dispatches; the search inside still hits the memo table
-         the child inherited at fork time. *)
+      (* Tuned-run costs are never memoized, so every unique block
+         dispatches; the search inside still hits the memo table the
+         child inherited at fork time. *)
       ~cached:(fun _ _ -> None)
       ~cacheable:(fun (_, injected) -> not injected)
       ~store:(fun cfg k ({ search = r; _ }, _) -> Hashtbl.replace cfg.cache k r)

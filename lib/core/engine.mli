@@ -118,11 +118,13 @@ val cache_salvaged : t -> int
 val tuned_run_cost : t -> Circuit.t -> duration:float -> cost
 (** Cost of one GRAPE run at a known duration with per-slice tuned
     hyperparameters — flexible partial compilation's per-iteration work.
-    Bounded by the engine's search deadline. *)
+    Bounded by the engine's search deadline.  On {!model}, a non-finite
+    [duration] (an unattainable block) prices as infinite seconds. *)
 
 val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
 (** Offline hyperparameter-tuning cost for one slice (grid search).
-    Bounded by the engine's search deadline. *)
+    Bounded by the engine's search deadline.  On {!model}, a non-finite
+    [duration] prices as infinite seconds. *)
 
 (** {2 Batch compilation over the worker pool}
 
@@ -152,9 +154,14 @@ val add_pool_stats : pool_stats -> pool_stats -> pool_stats
 (** Componentwise sum; [workers] is the max of the two. *)
 
 val search_many :
-  ?workers:int -> ?min_items:int -> t -> Circuit.t list ->
+  ?workers:int -> ?min_items:int -> ?keys:string list -> t ->
+  Circuit.t list ->
   block_result list * pool_stats * Resilience.degradation list
 (** Batched {!search}: results in input order, one per circuit.
+    [keys], when given, are the circuits' {!block_key}s, computed once
+    by a caller that searches the same blocks repeatedly; the batch then
+    keys nothing itself.  Raises [Invalid_argument] on a length
+    mismatch.
     [workers] defaults to {!Pqc_parallel.Pool.workers_from_env}
     ([PQC_WORKERS], default 1 — no fork, exact single-item behaviour).
     Memo-table hits and intra-batch duplicates are resolved in the
@@ -175,10 +182,14 @@ type flex_result = {
 }
 
 val flex_many :
-  ?workers:int -> ?min_items:int -> t -> Circuit.t list ->
+  ?workers:int -> ?min_items:int -> ?tuning:cost option list -> t ->
+  Circuit.t list ->
   flex_result list * pool_stats * Resilience.degradation list
-(** Batched flexible-partial precompute: per block, the minimal-time
+(** Batched flexible-partial compile: per block, the minimal-time
     search plus hyperparameter tuning plus one tuned run, all executed
     inside the same worker so the pool parallelizes the whole per-slice
-    pipeline (not just the search).  Same determinism, recovery and
-    caching contract as {!search_many}. *)
+    pipeline (not just the search).  [tuning] holds one slot per
+    circuit: a block whose slot is [Some h] skips the grid search and
+    reports [h] as its [hyperopt] cost (default: every slot [None]).
+    Raises [Invalid_argument] on a length mismatch.  Same determinism,
+    recovery and caching contract as {!search_many}. *)

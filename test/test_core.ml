@@ -168,6 +168,18 @@ let test_engine_model_wide_block_unattainable () =
   Alcotest.(check bool) "infinite seconds" true
     (r.Engine.search_cost.Engine.seconds = Float.infinity)
 
+let test_engine_model_unattainable_tuning () =
+  (* Tuning and the tuned run of a block the model prices at infinite
+     duration cost infinite seconds, like the block's search does. *)
+  let c = Circuit.of_gates 5 [ (Gate.CX, [0;4]); (Gate.H, [2]) ] in
+  let duration = (Engine.search Engine.model c).Engine.duration_ns in
+  List.iter
+    (fun (name, (cost : Engine.cost)) ->
+      Alcotest.(check bool) (name ^ " infinite seconds") true
+        (cost.Engine.seconds = Float.infinity))
+    [ ("tuned run", Engine.tuned_run_cost Engine.model c ~duration);
+      ("hyperopt", Engine.hyperopt_cost Engine.model c ~duration) ]
+
 let test_engine_rejects_unbound () =
   let c = Circuit.of_gates 1 [ (Gate.Rz (Param.var 0), [0]) ] in
   Alcotest.(check bool) "raises" true
@@ -344,6 +356,25 @@ let test_figure2_asymptote () =
   Alcotest.(check bool) "grape asymptotes below 50 ns" true (f6 <= 50.0 +. 1e-9);
   Alcotest.(check bool) "ratio widens with p" true (g6 /. f6 > g1 /. f1)
 
+let test_strict_wide_block_pulse () =
+  (* With the wide-block fixture blocked at width 6, the only engine
+     block is unattainable and the gate-based fallback wins strict's
+     duration, so strict must emit the gate-based pulse too. *)
+  let c =
+    Pqc_quantum.Qasm.of_qasm
+      (In_channel.with_open_text "../examples/fixtures/bad_wide_block.qasm"
+         In_channel.input_all)
+  in
+  let r = Compiler.strict_partial ~max_width:6 ~engine:Engine.model c ~theta:[||] in
+  let g = Compiler.gate_based c ~theta:[||] in
+  Alcotest.(check (float 0.0)) "gate-based duration" g.Strategy.duration_ns
+    r.Strategy.duration_ns;
+  Alcotest.(check bool) "every segment finite" true
+    (List.for_all
+       (fun s -> Float.is_finite (Pqc_pulse.Pulse.segment_duration s))
+       (Pqc_pulse.Pulse.segments r.Strategy.pulse));
+  Alcotest.(check int) "no engine block" 0 (Compiler.engine_blocks r)
+
 (* Integration: the whole compiler stack over the real numeric GRAPE engine
    on a small 2-qubit variational circuit. *)
 let test_numeric_engine_end_to_end () =
@@ -376,6 +407,242 @@ let test_numeric_engine_end_to_end () =
   Alcotest.(check (float 1e-12)) "strict stays zero-latency" 0.0
     s.Strategy.per_iteration.Engine.seconds
 
+(* --- Compiler: plans built once per circuit --- *)
+
+module Obs = Pqc_obs.Obs
+module Pulse = Pqc_pulse.Pulse
+
+(* A structurally equal circuit value no plan has seen. *)
+let fresh c = Circuit.map_gates Fun.id c
+
+let with_obs f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) f
+
+let plan_counts () =
+  ( int_of_float (Obs.counter_value "compiler.plan.hit"),
+    int_of_float (Obs.counter_value "compiler.plan.miss") )
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let segment_string = function
+  | Pulse.Lookup { gate_name; duration } -> gate_name ^ "@" ^ bits duration
+  | Pulse.Optimized { label; duration; _ } -> label ^ "@" ^ bits duration
+
+(* Everything a compile reports except wall-clock seconds and pool
+   accounting (a warm engine serves from its memo what a fresh one
+   searches).  Degradations are compared without their run_id, which
+   every call mints anew. *)
+let check_same ~precompute_iterations name (warm : Strategy.compiled)
+    (cold : Strategy.compiled) =
+  let open Alcotest in
+  check string (name ^ " duration") (bits cold.Strategy.duration_ns)
+    (bits warm.Strategy.duration_ns);
+  check (list string) (name ^ " segments")
+    (List.map segment_string (Pulse.segments cold.Strategy.pulse))
+    (List.map segment_string (Pulse.segments warm.Strategy.pulse));
+  let degs (r : Strategy.compiled) =
+    List.map
+      (fun (d : Pqc_core.Resilience.degradation) ->
+        Pqc_core.Resilience.degradation_to_string { d with run_id = None })
+      r.Strategy.degradations
+  in
+  check (list string) (name ^ " degradations") (degs cold) (degs warm);
+  let counts (c : Engine.cost) = (c.Engine.grape_runs, c.Engine.grape_iterations) in
+  check (pair int int) (name ^ " per-iteration counts")
+    (counts cold.Strategy.per_iteration) (counts warm.Strategy.per_iteration);
+  check int (name ^ " precompute runs")
+    cold.Strategy.precompute.Engine.grape_runs
+    warm.Strategy.precompute.Engine.grape_runs;
+  if precompute_iterations then
+    check int (name ^ " precompute iterations")
+      cold.Strategy.precompute.Engine.grape_iterations
+      warm.Strategy.precompute.Engine.grape_iterations
+
+let thetas c =
+  let rng = Rng.create 11 in
+  List.init 4 (fun _ -> theta_for rng c)
+
+let test_plan_warm_equals_cold_model () =
+  let rng = Rng.create 3 in
+  let g6 = Graph.random_regular rng ~degree:3 6 in
+  List.iter
+    (fun (name, c) ->
+      let c = Compiler.prepare c in
+      List.iter
+        (fun s ->
+          List.iteri
+            (fun k theta ->
+              let compile c =
+                Compiler.compile ~workers:1 ~engine:Engine.model s c ~theta
+              in
+              let warm = compile c in
+              (* Model tuning iterations do not depend on theta, so even
+                 flexible's precompute counts match a cold compile. *)
+              check_same ~precompute_iterations:true
+                (Printf.sprintf "%s %s theta%d" name
+                   (Compiler.strategy_name s) k)
+                warm (compile (fresh c)))
+            (thetas c))
+        Compiler.all_strategies)
+    [ ("H2", Uccsd.ansatz Molecule.h2); ("LiH", Uccsd.ansatz Molecule.lih);
+      ("3reg6p2", Qaoa.circuit g6 ~p:2) ]
+
+let test_plan_warm_equals_cold_numeric () =
+  let settings = { Grape.fast_settings with Grape.dt = 0.5; max_iters = 40 } in
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let compile engine theta =
+    Compiler.compile ~workers:1 ~max_width:2 ~engine
+      Compiler.Flexible_partial c ~theta
+  in
+  let warm_engine = Engine.numeric ~settings () in
+  List.iteri
+    (fun k theta ->
+      (* Tuning is offline work, measured once at the plan's first theta,
+         so only a cold compile's precompute iterations re-tune. *)
+      check_same ~precompute_iterations:(k = 0)
+        (Printf.sprintf "flexible theta%d" k)
+        (compile warm_engine theta)
+        (compile (Engine.numeric ~settings ()) theta))
+    (thetas c)
+
+let test_plan_isolation () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let theta = [| 0.5; 1.0; 1.5 |] in
+  with_obs @@ fun () ->
+  let last = ref (plan_counts ()) in
+  let expect name ~hit ?(engine = Engine.model) ?(max_width = 4)
+      ?(analysis = true) ?(theta = theta) c =
+    ignore
+      (Compiler.compile ~workers:1 ~max_width ~analysis ~engine
+         Compiler.Strict_partial c ~theta);
+    let h0, m0 = !last in
+    let h, m = plan_counts () in
+    last := (h, m);
+    Alcotest.(check (pair int int)) name
+      (if hit then (1, 0) else (0, 1))
+      (h - h0, m - m0)
+  in
+  expect "first call builds" ~hit:false c;
+  expect "same key reuses" ~hit:true c;
+  expect "other circuit value" ~hit:false (fresh c);
+  expect "back to the first circuit" ~hit:false c;
+  expect "other engine" ~hit:false
+    ~engine:(Engine.faulty ~rate:0.0 ~seed:1 Engine.model) c;
+  expect "other max_width" ~hit:false ~max_width:3 c;
+  expect "analysis off" ~hit:false ~analysis:false c;
+  expect "other theta length" ~hit:false ~theta:[| 0.5; 1.0; 1.5; 2.0 |] c;
+  expect "same key again" ~hit:true ~theta:[| 0.1; 0.2; 0.3; 0.4 |] c
+
+let test_plan_rejects_every_call () =
+  (* Gates of t0 are not contiguous: PQC020 rejects flexible. *)
+  let c =
+    Circuit.of_gates 1
+      [ (Gate.Rx (Param.var 0), [ 0 ]); (Gate.Rx (Param.var 1), [ 0 ]);
+        (Gate.Rx (Param.var 0), [ 0 ]) ]
+  in
+  for call = 1 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "call %d rejected" call) true
+      (match
+         Compiler.compile ~engine:Engine.model Compiler.Flexible_partial c
+           ~theta:[| 0.1; 0.2 |]
+       with
+      | _ -> false
+      | exception Pqc_analysis.Runner.Rejected _ -> true);
+    (* Unanalyzed, flexible slicing itself fails, and the ladder
+       degrades to strict every time. *)
+    let r =
+      Compiler.compile ~analysis:false ~engine:Engine.model
+        Compiler.Flexible_partial c ~theta:[| 0.1; 0.2 |]
+    in
+    Alcotest.(check (list string))
+      (Printf.sprintf "call %d degrades" call)
+      [ "flexible-partial" ]
+      (List.map
+         (fun (d : Pqc_core.Resilience.degradation) -> d.stage)
+         r.Strategy.degradations)
+  done
+
+let test_plan_stamps_each_call () =
+  (* The trailing rz(t1) is dead (a PQC061 warning), and a fault plan
+     makes every block search fall back: both kinds of degradation
+     carry the run_id of the call that reported them, plan hit or not. *)
+  let c =
+    Circuit.of_gates 2
+      [ (Gate.Rx (Param.var 0), [ 0 ]); (Gate.CX, [ 0; 1 ]);
+        (Gate.Rz (Param.var 1), [ 1 ]) ]
+  in
+  let engine = Engine.faulty ~seed:5 Engine.model in
+  let run_ids rid =
+    Obs.Ctx.with_ctx (Some rid) (fun () ->
+        Compiler.compile ~workers:1 ~engine Compiler.Strict_partial c
+          ~theta:[| 0.3; 0.4 |])
+    |> fun r ->
+    List.map
+      (fun (d : Pqc_core.Resilience.degradation) -> (d.stage, d.run_id))
+      r.Strategy.degradations
+  in
+  List.iter
+    (fun rid ->
+      let stamped = run_ids rid in
+      Alcotest.(check bool) (rid ^ ": lint warning recorded") true
+        (List.mem_assoc "analysis" stamped);
+      Alcotest.(check bool) (rid ^ ": engine fallback recorded") true
+        (List.exists (fun (st, _) -> String.starts_with ~prefix:"engine:" st)
+           stamped);
+      List.iter
+        (fun (stage, id) ->
+          Alcotest.(check (option string)) (rid ^ " " ^ stage) (Some rid) id)
+        stamped)
+    [ "req-a"; "req-b"; "req-c" ]
+
+let test_plan_spans () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let compile () =
+    ignore
+      (Compiler.compile ~workers:1 ~engine:Engine.model
+         Compiler.Strict_partial c ~theta:[| 0.5; 1.0; 1.5 |])
+  in
+  let front_end =
+    [ "compiler.analysis"; "slice.strict"; "slice.strict_linear";
+      "block.partition" ]
+  in
+  let spans () =
+    List.filter_map
+      (function
+        | Obs.Span { id; parent; name; _ } -> Some (id, (parent, name))
+        | Obs.Count _ | Obs.Gauge _ | Obs.Profile _ -> None)
+      (Obs.events ())
+  in
+  with_obs @@ fun () ->
+  compile ();
+  let miss = spans () in
+  let rec under_plan id =
+    match List.assoc_opt id miss with
+    | Some (_, "compiler.plan") -> true
+    | Some (parent, _) -> under_plan parent
+    | None -> false
+  in
+  List.iter
+    (fun name ->
+      let ids = List.filter (fun (_, (_, n)) -> n = name) miss in
+      Alcotest.(check bool) (name ^ " recorded on a miss") true (ids <> []);
+      List.iter
+        (fun (id, _) ->
+          Alcotest.(check bool) (name ^ " under compiler.plan") true
+            (under_plan id))
+        ids)
+    front_end;
+  Obs.reset ();
+  compile ();
+  List.iter
+    (fun (_, (_, name)) ->
+      Alcotest.(check bool) (name ^ " absent on a hit") false
+        (List.mem name ("compiler.plan" :: front_end)))
+    (spans ());
+  Alcotest.(check (pair int int)) "one hit" (1, 0) (plan_counts ())
+
 let () =
   Alcotest.run "core"
     [ ( "pulse-model",
@@ -399,6 +666,8 @@ let () =
           Alcotest.test_case "model costs" `Quick test_engine_model_costs_populated;
           Alcotest.test_case "model wide block unattainable" `Quick
             test_engine_model_wide_block_unattainable;
+          Alcotest.test_case "model unattainable tuning" `Quick
+            test_engine_model_unattainable_tuning;
           Alcotest.test_case "rejects unbound" `Quick test_engine_rejects_unbound;
           Alcotest.test_case "numeric 1q" `Slow test_engine_numeric_1q;
           Alcotest.test_case "numeric cached" `Slow test_engine_numeric_cached;
@@ -418,4 +687,14 @@ let () =
           Alcotest.test_case "dispatch" `Quick test_compile_dispatch;
           Alcotest.test_case "prepare legalizes" `Quick test_prepare_legalizes;
           Alcotest.test_case "figure-2 asymptote" `Quick test_figure2_asymptote;
-          Alcotest.test_case "numeric engine end-to-end" `Slow test_numeric_engine_end_to_end ] ) ]
+          Alcotest.test_case "strict wide block pulse" `Quick test_strict_wide_block_pulse;
+          Alcotest.test_case "numeric engine end-to-end" `Slow test_numeric_engine_end_to_end ] );
+      ( "plan",
+        [ Alcotest.test_case "warm equals cold (model)" `Quick
+            test_plan_warm_equals_cold_model;
+          Alcotest.test_case "warm equals cold (numeric flexible)" `Slow
+            test_plan_warm_equals_cold_numeric;
+          Alcotest.test_case "isolation" `Quick test_plan_isolation;
+          Alcotest.test_case "rejects every call" `Quick test_plan_rejects_every_call;
+          Alcotest.test_case "stamps each call" `Quick test_plan_stamps_each_call;
+          Alcotest.test_case "spans" `Quick test_plan_spans ] ) ]
