@@ -29,10 +29,19 @@ type block_result = {
          keep the id of the request that originally paid for the pulse *)
 }
 
+(* Flexible compilation's per-block costs beyond the search, measured at
+   the memoised search duration of the same key.  [hyperopt] is [None]
+   until the grid has run on this block: a cost copied in from a plan's
+   tuning slot was measured on some other block and is never recorded
+   here. *)
+type flex_costs = { tuned : cost; hyperopt : cost option }
+
 type numeric_config = {
   settings : Grape.settings;
   system_for : int -> Hamiltonian.t;
   cache : (string, block_result) Hashtbl.t;
+  flex : (string, flex_costs) Hashtbl.t;
+      (* in-memory only: never persisted *)
   policy : Resilience.policy;
   deadline_s : float option;
   cache_file : string option;
@@ -121,7 +130,8 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
     | None -> Sys.getenv_opt "PQC_PULSE_CACHE"
   in
   let cfg =
-    { settings; system_for; cache = Hashtbl.create 64; policy; deadline_s;
+    { settings; system_for; cache = Hashtbl.create 64;
+      flex = Hashtbl.create 16; policy; deadline_s;
       cache_file; cache_dropped = 0; cache_salvaged = 0 }
   in
   (match cache_file with Some path -> load_cache cfg path | None -> ());
@@ -275,14 +285,7 @@ let numeric_attempt cfg settings deadline c =
            search_cost =
              { grape_runs = List.length s.probes;
                grape_iterations = s.grape_iterations_total;
-               seconds =
-                 (* Sum of per-probe wall time is not retained; the minimal
-                    probe's rate scaled by total iterations is a faithful
-                    estimate. *)
-                 (if s.minimal.iterations > 0 then
-                    s.minimal.wall_time_s /. float_of_int s.minimal.iterations
-                    *. float_of_int s.grape_iterations_total
-                  else s.minimal.wall_time_s) };
+               seconds = s.wall_time_s };
            fidelity = Some s.minimal.fidelity;
            fallback = None;
            run_id = Obs.Ctx.current () }
@@ -438,12 +441,12 @@ let hyperopt_cost t c ~duration =
     in
     let deadline = Resilience.of_seconds cfg.deadline_s in
     let lr_grid = Pqc_util.Stats.logspace (-1.0) 0.3 4 in
-    let score =
+    let grid =
       Hyperopt.grid_search ~lr_grid ~decay_grid:[| 0.998; 1.0 |]
         ~angles:[| 1.0 |] ?deadline:(Resilience.absolute deadline) obj
     in
-    { grape_runs = 8;
-      grape_iterations = int_of_float (8.0 *. score.Hyperopt.iterations);
+    { grape_runs = grid.Hyperopt.runs;
+      grape_iterations = grid.Hyperopt.iterations;
       seconds = Obs.Clock.now () -. t0 }
 
 (* --- Batch compilation over the worker pool --- *)
@@ -527,9 +530,9 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
     ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
-    ~(cached : numeric_config -> string -> r option)
+    ~(cached : numeric_config -> int -> string -> r option)
     ~(cacheable : r -> bool)
-    ~(store : numeric_config -> string -> r -> unit) :
+    ~(store : numeric_config -> int -> string -> r -> unit) :
     r list * pool_stats * Resilience.degradation list =
   List.iter require_bound circuits;
   Obs.Span.with_ ~name:"engine.batch"
@@ -569,7 +572,7 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
            else
              let hit =
                match base with
-               | Base_numeric cfg -> cached cfg k
+               | Base_numeric cfg -> cached cfg i k
                | Base_model -> None
              in
              match hit with
@@ -643,7 +646,7 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
             run_id = item_ctx idx }
           :: !degs;
       (match base with
-      | Base_numeric cfg when cacheable r -> store cfg k r
+      | Base_numeric cfg when cacheable r -> store cfg idx k r
       | _ -> ());
       cell := Some r)
     (List.combine todo todo_cells) pool_out;
@@ -669,10 +672,10 @@ let search_many ?workers ?min_items ?keys t circuits =
       ~compute:(fun eng _ c -> search_flagged eng c)
       ~encode:encode_search
       ~decode:decode_search
-      ~cached:(fun cfg k ->
+      ~cached:(fun cfg _ k ->
         Option.map (fun r -> (r, false)) (Hashtbl.find_opt cfg.cache k))
       ~cacheable:(fun (_, injected) -> not injected)
-      ~store:(fun cfg k (r, _) -> Hashtbl.replace cfg.cache k r)
+      ~store:(fun cfg _ k (r, _) -> Hashtbl.replace cfg.cache k r)
   in
   (List.map fst rs, stats, degs)
 
@@ -685,14 +688,29 @@ let flex_many ?workers ?min_items ?tuning t circuits =
     | Some ts when List.length ts = List.length circuits -> Array.of_list ts
     | Some _ -> invalid_arg "Engine.flex_many: one tuning slot per circuit"
   in
+  let memo eng c =
+    match unwrap eng with
+    | _, Base_numeric cfg -> Hashtbl.find_opt cfg.flex (block_key c)
+    | _, Base_model -> None
+  in
+  (* A block whose search, tuned run and tuning are all memoised never
+     dispatches; one that is only partly memoised (tuned but never tuned
+     by the grid, say) reruns just the missing part.  A plan's tuning
+     slot takes precedence over the memo. *)
   let compute eng i c =
     let r, injected = search_flagged eng c in
+    let m = memo eng c in
     let hyperopt =
-      match tuning.(i) with
-      | Some h -> h
-      | None -> hyperopt_cost eng c ~duration:r.duration_ns
+      match tuning.(i), Option.bind m (fun m -> m.hyperopt) with
+      | Some h, _ | None, Some h -> h
+      | None, None -> hyperopt_cost eng c ~duration:r.duration_ns
     in
-    let tuned = tuned_run_cost eng c ~duration:r.duration_ns in
+    let tuned =
+      match m with
+      | Some m -> m.tuned
+      | None -> tuned_run_cost eng c ~duration:r.duration_ns
+    in
+    if Option.is_some m then Obs.count "engine.flex.memo_hit";
     ({ search = r; hyperopt; tuned }, injected)
   in
   let encode k ({ search = r; hyperopt; tuned }, injected) =
@@ -711,13 +729,27 @@ let flex_many ?workers ?min_items ?tuning t circuits =
                 (decode_cost te)))
     | _ -> None
   in
+  let cached cfg i k =
+    match Hashtbl.find_opt cfg.cache k, Hashtbl.find_opt cfg.flex k with
+    | Some search, Some { tuned; hyperopt } ->
+      (match tuning.(i), hyperopt with
+       | Some h, _ | None, Some h ->
+         Obs.count "engine.flex.memo_hit";
+         Some ({ search; hyperopt = h; tuned }, false)
+       | None, None -> None)
+    | _ -> None
+  in
+  (* Only dispatched blocks are stored, and a block with a tuning slot
+     dispatches only while it has no memo entry at all, so nothing is lost
+     by leaving its [hyperopt] unset. *)
+  let store cfg i k ({ search = r; hyperopt; tuned }, _) =
+    Hashtbl.replace cfg.cache k r;
+    let hyperopt = if Option.is_none tuning.(i) then Some hyperopt else None in
+    Hashtbl.replace cfg.flex k { tuned; hyperopt }
+  in
   let rs, stats, degs =
-    run_batch ?workers ?min_items t circuits ~compute ~encode ~decode
-      (* Tuned-run costs are never memoized, so every unique block
-         dispatches; the search inside still hits the memo table the
-         child inherited at fork time. *)
-      ~cached:(fun _ _ -> None)
+    run_batch ?workers ?min_items t circuits ~compute ~encode ~decode ~cached
       ~cacheable:(fun (_, injected) -> not injected)
-      ~store:(fun cfg k ({ search = r; _ }, _) -> Hashtbl.replace cfg.cache k r)
+      ~store
   in
   (List.map fst rs, stats, degs)

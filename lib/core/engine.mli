@@ -122,9 +122,11 @@ val tuned_run_cost : t -> Circuit.t -> duration:float -> cost
     [duration] (an unattainable block) prices as infinite seconds. *)
 
 val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
-(** Offline hyperparameter-tuning cost for one slice (grid search).
-    Bounded by the engine's search deadline.  On {!model}, a non-finite
-    [duration] prices as infinite seconds. *)
+(** Offline hyperparameter-tuning cost for one slice (grid search): on
+    the numeric engine, the runs and iterations the grid executed (a
+    deadline may skip cells) and its wall-clock seconds.  Bounded by the
+    engine's search deadline.  On {!model}, a non-finite [duration]
+    prices as infinite seconds. *)
 
 (** {2 Batch compilation over the worker pool}
 
@@ -192,4 +194,13 @@ val flex_many :
     circuit: a block whose slot is [Some h] skips the grid search and
     reports [h] as its [hyperopt] cost (default: every slot [None]).
     Raises [Invalid_argument] on a length mismatch.  Same determinism,
-    recovery and caching contract as {!search_many}. *)
+    recovery and caching contract as {!search_many}.
+
+    A numeric engine also memoises, beside each bound block's search
+    result, its tuned-run cost and — when the grid ran on that block,
+    not when the cost came from a tuning slot — its tuning cost.  A
+    block whose search, tuned run and needed tuning cost are all
+    memoised is served in the parent without dispatch (counted as
+    [engine.flex.memo_hit]); a partly memoised one reruns only what is
+    missing.  A tuning slot still takes precedence over the memo.  The
+    memo is in-memory only: {!persist} never writes it. *)

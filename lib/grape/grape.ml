@@ -118,6 +118,9 @@ let fidelity_of_controls sys ~target ~dt u =
   let embedded = Hamiltonian.embed_target sys target in
   snd (subspace_overlap sys embedded (propagate sys ~dt u))
 
+let n_steps_of settings total_time =
+  max 2 (int_of_float (Float.round (total_time /. settings.dt)))
+
 let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
     ~target ~total_time =
   if settings.dt <= 0.0 || not (Float.is_finite settings.dt) then
@@ -127,7 +130,7 @@ let optimize ?(settings = default_settings) ?deadline (sys : Hamiltonian.t)
   let t0 = now () in
   let dim = sys.dim in
   let nc = Array.length sys.controls in
-  let n_steps = max 2 (int_of_float (Float.round (total_time /. settings.dt))) in
+  let n_steps = n_steps_of settings total_time in
   if n_steps > max_steps then
     invalid_arg
       (Printf.sprintf
@@ -455,6 +458,7 @@ type search = {
   minimal : result;
   probes : (float * bool) list;
   grape_iterations_total : int;
+  wall_time_s : float;
   deadline_hit : bool;
 }
 
@@ -467,19 +471,38 @@ let minimal_time ?(settings = default_settings) ?(precision = 0.3) ?deadline
   @@ fun () ->
   let probes = ref [] in
   let iters = ref 0 in
+  let seconds = ref 0.0 in
   let hit = ref false in
+  (* Probes by step count: with [dt] coarser than [precision], bisection
+     midpoints round to step counts already tried.  [optimize] is a pure
+     function of the step count (for fixed settings and target), so an
+     earlier result is exactly what a rerun would return, and reusing it
+     leaves every bisection decision unchanged. *)
+  let tried = Hashtbl.create 8 in
+  let reused = ref 0 in
   let attempt time =
-    let r = optimize ~settings ?deadline sys ~target ~total_time:time in
-    probes := (time, r.converged) :: !probes;
-    iters := !iters + r.iterations;
-    if r.deadline_hit then hit := true;
-    r
+    let steps = n_steps_of settings time in
+    match Hashtbl.find_opt tried steps with
+    | Some r ->
+      incr reused;
+      r
+    | None ->
+      let r = optimize ~settings ?deadline sys ~target ~total_time:time in
+      Hashtbl.add tried steps r;
+      probes := (time, r.converged) :: !probes;
+      iters := !iters + r.iterations;
+      seconds := !seconds +. r.wall_time_s;
+      if r.deadline_hit then hit := true;
+      r
   in
   let finish best =
+    if !reused > 0 then
+      Obs.count ~by:(float_of_int !reused) "grape.probe.reused";
     Option.map
       (fun r ->
         { minimal = r; probes = List.rev !probes;
-          grape_iterations_total = !iters; deadline_hit = !hit })
+          grape_iterations_total = !iters; wall_time_s = !seconds;
+          deadline_hit = !hit })
       best
   in
   let expired () =

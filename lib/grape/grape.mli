@@ -67,6 +67,11 @@ val max_steps : int
     [total_time / dt] beyond it with [Invalid_argument] rather than
     allocating an unbounded array of dim x dim slice propagators. *)
 
+val n_steps_of : settings -> float -> int
+(** [n_steps_of settings total_time] is the control discretization
+    {!optimize} uses for [total_time]: [total_time / dt] rounded, at
+    least 2. *)
+
 val optimize :
   ?settings:settings -> ?deadline:float -> Hamiltonian.t -> target:Cmat.t ->
   total_time:float -> result
@@ -104,10 +109,12 @@ val to_pulse : ?label:string -> result -> Pqc_pulse.Pulse.t
 type search = {
   minimal : result;  (** Result at the shortest converged duration. *)
   probes : (float * bool) list;
-      (** Binary-search trace: (duration, converged). *)
+      (** Binary-search trace of the probes that ran GRAPE: (requested
+          duration, converged).  Step counts are distinct. *)
   grape_iterations_total : int;
-      (** Total optimizer iterations across all probes — the compilation
-          latency proxy used by the Figure 7 accounting. *)
+      (** Total optimizer iterations across the executed probes — the
+          compilation latency proxy used by the Figure 7 accounting. *)
+  wall_time_s : float;  (** Summed [wall_time_s] of the executed probes. *)
   deadline_hit : bool;
       (** Some probe ran out of wall-clock budget; [minimal] is the best
           converged duration found before the deadline, not necessarily
@@ -122,6 +129,14 @@ val minimal_time :
     seeds the bracket (callers pass the gate-based duration: GRAPE should
     never need longer).  [None] when even the upper bound (after one
     doubling) fails to converge.
+
+    Probes run at step-count granularity: a duration is realized as
+    {!n_steps_of} steps of [dt], so when [precision] < [dt] several
+    bisection midpoints round to the same step count.  Each step count
+    runs GRAPE once; a later probe that rounds to it reuses that result
+    (counted as [grape.probe.reused]), which leaves every bisection
+    decision — and so the minimal duration, fidelity and controls —
+    exactly as if it had rerun.
 
     [deadline] (absolute wall-clock) bounds the whole search: bisection
     stops at the first probe past it and returns the best converged probe

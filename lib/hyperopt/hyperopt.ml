@@ -17,7 +17,8 @@ type score = {
   mean_fidelity : float;
 }
 
-let evaluate ?deadline obj ~angles hyperparams =
+(* A scored cell plus the optimizer iterations its runs executed. *)
+let evaluate_counted ?deadline obj ~angles hyperparams =
   let settings = { obj.settings with Grape.hyperparams } in
   let runs =
     Array.map
@@ -30,10 +31,14 @@ let evaluate ?deadline obj ~angles hyperparams =
     Array.map (fun (r : Grape.result) -> float_of_int r.iterations) runs
   in
   let fids = Array.map (fun (r : Grape.result) -> r.fidelity) runs in
-  { hyperparams;
-    iterations = Stats.mean iters;
-    converged_all = Array.for_all (fun (r : Grape.result) -> r.converged) runs;
-    mean_fidelity = Stats.mean fids }
+  ( { hyperparams;
+      iterations = Stats.mean iters;
+      converged_all = Array.for_all (fun (r : Grape.result) -> r.converged) runs;
+      mean_fidelity = Stats.mean fids },
+    Array.fold_left (fun acc (r : Grape.result) -> acc + r.iterations) 0 runs )
+
+let evaluate ?deadline obj ~angles hyperparams =
+  fst (evaluate_counted ?deadline obj ~angles hyperparams)
 
 let default_lr_grid = Stats.logspace (-1.5) 0.5 6
 let default_decay_grid = [| 0.995; 0.999; 1.0 |]
@@ -48,21 +53,25 @@ let better a b =
   | true, true -> if a.iterations <= b.iterations then a else b
   | false, false -> if a.mean_fidelity >= b.mean_fidelity then a else b
 
+type grid = { best : score; runs : int; iterations : int }
+
 (* Grid cells ship back from workers as one checksum-free but strictly
    parsed line; a cell that fails to round-trip is simply re-evaluated
    in the parent by the pool's recovery path. *)
-let encode_score s =
-  Printf.sprintf "%h\t%h\t%h\t%B\t%h" s.hyperparams.Grape.learning_rate
+let encode_cell (s, iters) =
+  Printf.sprintf "%h\t%h\t%h\t%B\t%h\t%d" s.hyperparams.Grape.learning_rate
     s.hyperparams.Grape.decay s.iterations s.converged_all s.mean_fidelity
+    iters
 
-let decode_score line =
+let decode_cell line =
   match
-    Scanf.sscanf line "%h\t%h\t%h\t%B\t%h"
-      (fun learning_rate decay iterations converged_all mean_fidelity ->
-        { hyperparams = { Grape.learning_rate; decay }; iterations;
-          converged_all; mean_fidelity })
+    Scanf.sscanf line "%h\t%h\t%h\t%B\t%h\t%d"
+      (fun learning_rate decay iterations converged_all mean_fidelity iters ->
+        ( { hyperparams = { Grape.learning_rate; decay }; iterations;
+            converged_all; mean_fidelity },
+          iters ))
   with
-  | s -> Some s
+  | cell -> Some cell
   | exception _ -> None
 
 let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
@@ -71,8 +80,10 @@ let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
   let expired () =
     match deadline with Some d -> Pqc_obs.Obs.Clock.now () > d | None -> false
   in
+  let per_cell = Array.length angles in
   if workers <= 1 then begin
     let best = ref None in
+    let runs = ref 0 and iterations = ref 0 in
     Array.iter
       (fun learning_rate ->
         Array.iter
@@ -81,13 +92,18 @@ let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
                hyperparameter set even with an already-expired deadline; the
                remaining grid is skipped once the budget runs out. *)
             if !best = None || not (expired ()) then begin
-              let s = evaluate ?deadline obj ~angles { Grape.learning_rate; decay } in
+              let s, iters =
+                evaluate_counted ?deadline obj ~angles
+                  { Grape.learning_rate; decay }
+              in
+              runs := !runs + per_cell;
+              iterations := !iterations + iters;
               best :=
                 Some (match !best with None -> s | Some b -> better s b)
             end)
           decay_grid)
       lr_grid;
-    Option.get !best
+    { best = Option.get !best; runs = !runs; iterations = !iterations }
   end
   else begin
     (* Parallel mode scores the whole grid (each GRAPE run still honours
@@ -99,17 +115,22 @@ let grid_search ?(workers = 1) ?(lr_grid = default_lr_grid)
              Array.to_list decay_grid
              |> List.map (fun decay -> { Grape.learning_rate; decay }))
     in
-    let scores, _stats =
-      Pqc_parallel.Pool.map ~workers ~encode:encode_score ~decode:decode_score
-        (fun hp -> evaluate ?deadline obj ~angles hp)
+    let scored, _stats =
+      Pqc_parallel.Pool.map ~workers ~encode:encode_cell ~decode:decode_cell
+        (fun hp -> evaluate_counted ?deadline obj ~angles hp)
         cells
     in
-    match List.map fst scores with
+    match List.map fst scored with
     | [] -> invalid_arg "Hyperopt.grid_search: empty hyperparameter grid"
-    | s :: rest ->
+    | (s, iters) :: rest ->
       (* The sequential loop calls [better candidate incumbent], letting a
          later cell win exact ties; keep that argument order here. *)
-      List.fold_left (fun acc s -> better s acc) s rest
+      List.fold_left
+        (fun g (s, iters) ->
+          { best = better s g.best; runs = g.runs + per_cell;
+            iterations = g.iterations + iters })
+        { best = s; runs = per_cell; iterations = iters }
+        rest
   end
 
 type robustness_point = {

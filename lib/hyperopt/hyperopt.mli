@@ -37,13 +37,21 @@ val evaluate :
 (** Run GRAPE at each probe angle with the given hyperparameters.
     [deadline] (absolute wall-clock) is threaded into each GRAPE run. *)
 
+type grid = {
+  best : score;
+      (** Fewest mean iterations among fully-converged cells, falling
+          back to highest mean fidelity. *)
+  runs : int;  (** GRAPE runs executed: one per probe angle per scored cell. *)
+  iterations : int;  (** Optimizer iterations summed over those runs. *)
+}
+
 val grid_search :
   ?workers:int -> ?lr_grid:float array -> ?decay_grid:float array ->
-  ?angles:float array -> ?deadline:float -> objective -> score
+  ?angles:float array -> ?deadline:float -> objective -> grid
 (** Exhaustive search over the hyperparameter grid (defaults: 6 logarithmic
     learning rates in [0.03, 3], decays {0.995, 0.999, 1.0}; probe angles
-    {0.5, 2.0}).  Returns the best score: fewest mean iterations among
-    fully-converged cells, falling back to highest mean fidelity.
+    {0.5, 2.0}).  Returns the best score together with the work the
+    search actually executed — cells a deadline skipped count nothing.
 
     With a [deadline] (absolute wall-clock), at least one candidate is
     always scored; the rest of the grid is skipped once the deadline

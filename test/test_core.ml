@@ -507,6 +507,33 @@ let test_plan_warm_equals_cold_numeric () =
         (compile (Engine.numeric ~settings ()) theta))
     (thetas c)
 
+let test_shared_block_tuned_once () =
+  (* Two circuits (distinct values, so the second builds its own plan
+     with empty tuning slots) whose theta-independent slice blocks bind
+     identically.  The second circuit's flexible compile serves those
+     blocks from the engine's memo — no search, tuned run or tuning grid
+     is dispatched for them — yet reports what a cold engine reports. *)
+  let settings = { Grape.fast_settings with Grape.dt = 0.5; max_iters = 40 } in
+  let c = Compiler.prepare (Qaoa.circuit (Graph.clique 4) ~p:1) in
+  let compile engine c theta =
+    Compiler.compile ~workers:1 ~max_width:2 ~engine
+      Compiler.Flexible_partial c ~theta
+  in
+  let engine = Engine.numeric ~settings () in
+  ignore (compile engine c [| 0.4; 0.9 |]);
+  let theta = [| 1.3; 0.2 |] in
+  let second, memo_hits =
+    with_obs (fun () ->
+        let r = compile engine (fresh c) theta in
+        (r, int_of_float (Obs.counter_value "engine.flex.memo_hit")))
+  in
+  let cold = compile (Engine.numeric ~settings ()) (fresh c) theta in
+  Alcotest.(check bool) "some block shared" true (memo_hits > 0);
+  Alcotest.(check int) "shared blocks not dispatched"
+    (cold.Strategy.pool.Engine.dispatched - memo_hits)
+    second.Strategy.pool.Engine.dispatched;
+  check_same ~precompute_iterations:true "second circuit" second cold
+
 let test_plan_isolation () =
   let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
   let theta = [| 0.5; 1.0; 1.5 |] in
@@ -694,6 +721,8 @@ let () =
             test_plan_warm_equals_cold_model;
           Alcotest.test_case "warm equals cold (numeric flexible)" `Slow
             test_plan_warm_equals_cold_numeric;
+          Alcotest.test_case "shared block tuned once" `Quick
+            test_shared_block_tuned_once;
           Alcotest.test_case "isolation" `Quick test_plan_isolation;
           Alcotest.test_case "rejects every call" `Quick test_plan_rejects_every_call;
           Alcotest.test_case "stamps each call" `Quick test_plan_stamps_each_call;

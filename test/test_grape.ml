@@ -220,6 +220,88 @@ let test_minimal_time_probes_recorded () =
     Alcotest.(check bool) "iterations counted" true (s.grape_iterations_total > 0)
   | None -> Alcotest.fail "H search must converge"
 
+(* The bisection as written before probe reuse: one [Grape.optimize] per
+   step, nothing shared.  Returns the minimal result and every run. *)
+let reference_minimal_time ~settings ~upper_bound sys ~target =
+  let runs = ref [] in
+  let attempt time =
+    let r = Grape.optimize ~settings sys ~target ~total_time:time in
+    runs := r :: !runs;
+    r
+  in
+  let r0 = attempt upper_bound in
+  let hi =
+    if r0.Grape.converged then Some r0
+    else
+      let r1 = attempt (2.0 *. upper_bound) in
+      if r1.Grape.converged then Some r1 else None
+  in
+  Option.map
+    (fun (hi_r : Grape.result) ->
+      let rec bisect lo hi best =
+        if hi -. lo <= 0.3 then best
+        else
+          let mid = (lo +. hi) /. 2.0 in
+          let r = attempt mid in
+          if r.Grape.converged then bisect lo mid r else bisect mid hi best
+      in
+      let best = bisect 0.0 hi_r.Grape.total_time hi_r in
+      (best, List.rev !runs))
+    hi
+
+let test_minimal_time_probe_reuse () =
+  (* dt = 0.5 ns is coarser than the default 0.3 ns precision, so some
+     bisection midpoints round to step counts already probed. *)
+  let settings = { quick with Grape.dt = 0.5; max_iters = 120 } in
+  let bits = Int64.bits_of_float in
+  let reused = ref 0 in
+  List.iter
+    (fun (name, n, target, upper_bound) ->
+      let sys = Hamiltonian.gmon n in
+      match
+        ( Grape.minimal_time ~settings ~upper_bound sys ~target,
+          reference_minimal_time ~settings ~upper_bound sys ~target )
+      with
+      | Some s, Some (best, runs) ->
+        let m = s.Grape.minimal in
+        Alcotest.(check int64) (name ^ " total_time bits")
+          (bits best.Grape.total_time) (bits m.Grape.total_time);
+        Alcotest.(check int64) (name ^ " fidelity bits")
+          (bits best.Grape.fidelity) (bits m.Grape.fidelity);
+        Alcotest.(check bool) (name ^ " controls bit-identical") true
+          (Array.for_all2 (Array.for_all2 (fun a b -> bits a = bits b))
+             best.Grape.controls m.Grape.controls);
+        let steps =
+          List.map (fun (t, _) -> Grape.n_steps_of settings t) s.Grape.probes
+        in
+        Alcotest.(check int) (name ^ " executed step counts distinct")
+          (List.length steps)
+          (List.length (List.sort_uniq compare steps));
+        (* Every reference run is either an executed probe or a repeat
+           of one, so the reference's distinct step counts are exactly
+           the executed ones. *)
+        let reference_steps =
+          List.sort_uniq compare (List.map (fun r -> r.Grape.n_steps) runs)
+        in
+        Alcotest.(check (list int)) (name ^ " same step counts probed")
+          reference_steps (List.sort compare steps);
+        let executed =
+          List.fold_left
+            (fun acc (t, _) ->
+              acc
+              + (Grape.optimize ~settings sys ~target ~total_time:t)
+                  .Grape.iterations)
+            0 s.Grape.probes
+        in
+        Alcotest.(check int) (name ^ " iterations are the executed runs'")
+          executed s.Grape.grape_iterations_total;
+        reused := !reused + (List.length runs - List.length s.Grape.probes)
+      | _ -> Alcotest.failf "%s: searches must converge" name)
+    [ ("H", 1, gate_target 1 Gate.H [ 0 ], 4.0);
+      ("X", 1, gate_target 1 Gate.X [ 0 ], 6.0);
+      ("Rz", 1, gate_target 1 (Gate.Rz (Param.const 1.0)) [ 0 ], 4.0) ];
+  Alcotest.(check bool) "some probe was reused" true (!reused > 0)
+
 let test_minimal_time_unreachable () =
   (* No coupler: an entangling target is unreachable. *)
   let sys = Hamiltonian.gmon ~topology:(Topology.of_edges 2 []) 2 in
@@ -316,6 +398,8 @@ let () =
         [ Alcotest.test_case "Z faster than X" `Quick test_minimal_time_z_faster_than_x;
           Alcotest.test_case "CX near Table 1" `Slow test_minimal_time_cx_near_table;
           Alcotest.test_case "probes recorded" `Quick test_minimal_time_probes_recorded;
+          Alcotest.test_case "probe reuse = plain bisection" `Quick
+            test_minimal_time_probe_reuse;
           Alcotest.test_case "unreachable target" `Quick test_minimal_time_unreachable;
           Alcotest.test_case "to_pulse" `Quick test_to_pulse;
           Alcotest.test_case "multistart early stop" `Quick test_multistart_stops_on_convergence;

@@ -35,13 +35,52 @@ let test_evaluate_bad_lr () =
 
 let test_grid_search_beats_bad () =
   let obj = objective () in
-  let best =
+  let grid =
     Hyperopt.grid_search
       ~lr_grid:[| 1e-5; 0.3 |] ~decay_grid:[| 0.999 |] ~angles:[| 0.5 |] obj
   in
+  let best = grid.Hyperopt.best in
   Alcotest.(check bool) "picks the converging cell" true
     (best.Hyperopt.hyperparams.Grape.learning_rate > 1e-4);
   Alcotest.(check bool) "converged" true best.Hyperopt.converged_all
+
+let test_grid_search_counts_executed_work () =
+  (* The grid reports the runs and iterations it executed: one run per
+     probe angle per scored cell, not the winner's mean times the grid
+     size. *)
+  let obj = objective () in
+  let lr_grid = [| 1e-5; 0.3 |] and decay_grid = [| 0.999 |] in
+  let angles = [| 0.5; 2.0 |] in
+  let per_cell lr =
+    Array.fold_left
+      (fun acc angle ->
+        let settings =
+          { obj.Hyperopt.settings with
+            Grape.hyperparams = { Grape.learning_rate = lr; decay = 0.999 } }
+        in
+        acc
+        + (Grape.optimize ~settings obj.Hyperopt.system
+             ~target:(obj.Hyperopt.target_of angle)
+             ~total_time:obj.Hyperopt.total_time)
+            .Grape.iterations)
+      0 angles
+  in
+  let expected = per_cell 1e-5 + per_cell 0.3 in
+  List.iter
+    (fun workers ->
+      let g = Hyperopt.grid_search ~workers ~lr_grid ~decay_grid ~angles obj in
+      let name = Printf.sprintf "workers %d" workers in
+      Alcotest.(check int) (name ^ ": runs") 4 g.Hyperopt.runs;
+      Alcotest.(check int) (name ^ ": iterations") expected
+        g.Hyperopt.iterations)
+    [ 1; 2 ];
+  (* An expired deadline scores only the first cell, and says so. *)
+  let g =
+    Hyperopt.grid_search ~lr_grid ~decay_grid ~angles ~deadline:0.0 obj
+  in
+  Alcotest.(check int) "deadline: one cell's runs" 2 g.Hyperopt.runs;
+  Alcotest.(check bool) "deadline: iterations bounded" true
+    (g.Hyperopt.iterations <= 2)
 
 let test_robustness_shape () =
   let obj = objective () in
@@ -108,7 +147,9 @@ let () =
     [ ( "search",
         [ Alcotest.test_case "evaluate converging" `Quick test_evaluate_reports_convergence;
           Alcotest.test_case "evaluate bad lr" `Quick test_evaluate_bad_lr;
-          Alcotest.test_case "grid search" `Slow test_grid_search_beats_bad ] );
+          Alcotest.test_case "grid search" `Slow test_grid_search_beats_bad;
+          Alcotest.test_case "grid counts executed work" `Quick
+            test_grid_search_counts_executed_work ] );
       ( "robustness",
         [ Alcotest.test_case "shape" `Slow test_robustness_shape;
           Alcotest.test_case "stability perfect" `Quick test_stability_perfect;

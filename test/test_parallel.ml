@@ -350,6 +350,125 @@ let test_flex_many_worker_count_invariant () =
         b.Engine.tuned.Engine.grape_iterations)
     (List.combine seq par)
 
+(* --- Flexible memo: tuned and tuning costs beside the pulse memo --- *)
+
+let check_same_flex msg (a : Engine.flex_result) (b : Engine.flex_result) =
+  check_same_result msg a.Engine.search b.Engine.search;
+  let counts (c : Engine.cost) = (c.Engine.grape_runs, c.Engine.grape_iterations) in
+  Alcotest.(check (pair int int)) (msg ^ ": hyperopt counts")
+    (counts a.Engine.hyperopt) (counts b.Engine.hyperopt);
+  Alcotest.(check (pair int int)) (msg ^ ": tuned counts")
+    (counts a.Engine.tuned) (counts b.Engine.tuned)
+
+let check_same_flexes msg a b =
+  List.iteri
+    (fun i (a, b) -> check_same_flex (Printf.sprintf "%s block %d" msg i) a b)
+    (List.combine a b)
+
+(* Several distinct small blocks, some repeated: a bound QAOA circuit on
+   K4 partitioned at width 2. *)
+let qaoa_blocks () =
+  let c = Compiler.prepare (Qaoa.circuit (Graph.clique 4) ~p:1) in
+  Block.partition ~max_width:2 (Circuit.bind c [| 0.4; 0.9 |])
+  |> List.map Block.extract
+
+let unique_blocks blocks =
+  List.length (List.sort_uniq compare (List.map Engine.block_key blocks))
+
+let test_flex_memo_warm_batch_dispatches_nothing () =
+  let blocks = qaoa_blocks () in
+  Alcotest.(check bool) "distinct blocks, some repeated" true
+    (unique_blocks blocks > 1 && unique_blocks blocks < List.length blocks);
+  let engine = Engine.numeric ~settings:quick () in
+  let cold, cold_stats, _ = Engine.flex_many ~workers:1 engine blocks in
+  Alcotest.(check int) "cold dispatches every unique block"
+    (unique_blocks blocks) cold_stats.Engine.dispatched;
+  with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
+      let warm, stats, degs = Engine.flex_many ~workers:4 engine blocks in
+      Alcotest.(check int) "warm dispatches nothing" 0 stats.Engine.dispatched;
+      Alcotest.(check int) "every block served in the parent"
+        (List.length blocks) stats.Engine.cache_hits;
+      Alcotest.(check int) "no fork" 1 stats.Engine.workers;
+      Alcotest.(check int) "no degradations" 0 (List.length degs);
+      check_same_flexes "warm" cold warm)
+
+let test_flex_memo_worker_count_invariant () =
+  (* Cold and warm, and on a batch only partly memoised (a first call
+     whose tuning slots all came from a plan leaves no tuning cost in the
+     memo), workers 1 and 4 agree on results and dispatch accounting. *)
+  let blocks = qaoa_blocks () in
+  let slot = { Engine.grape_runs = 3; grape_iterations = 5; seconds = 0.0 } in
+  let run workers =
+    with_env "PQC_PAR_MIN_ITEMS" "1" (fun () ->
+        let engine = Engine.numeric ~settings:quick () in
+        let flex ?tuning () = Engine.flex_many ~workers ?tuning engine blocks in
+        let first = flex ~tuning:(List.map (fun _ -> Some slot) blocks) () in
+        let second = flex () in
+        [ first; second; flex () ])
+  in
+  let seq = run 1 and par = run 4 in
+  List.iteri
+    (fun k ((a, sa, _), (b, sb, _)) ->
+      let msg = Printf.sprintf "call %d" k in
+      check_same_flexes msg a b;
+      Alcotest.(check int) (msg ^ ": dispatched") sa.Engine.dispatched
+        sb.Engine.dispatched;
+      Alcotest.(check int) (msg ^ ": cache hits") sa.Engine.cache_hits
+        sb.Engine.cache_hits)
+    (List.combine seq par);
+  let dispatched =
+    List.map (fun (_, (s : Engine.pool_stats), _) -> s.Engine.dispatched) seq
+  in
+  Alcotest.(check (list int))
+    "slot-tuned blocks re-dispatch once for their grid, then never"
+    [ unique_blocks blocks; unique_blocks blocks; 0 ] dispatched;
+  match seq with
+  | [ (first, _, _); (second, _, _); (third, _, _) ] ->
+    (* The second call reuses the memoised tuned runs and runs only the
+       grid, so its tuned counts equal the first call's. *)
+    List.iter2
+      (fun (a : Engine.flex_result) (b : Engine.flex_result) ->
+        Alcotest.(check int) "tuned iterations reused"
+          a.Engine.tuned.Engine.grape_iterations
+          b.Engine.tuned.Engine.grape_iterations;
+        Alcotest.(check int) "first call reports its slot" 3
+          a.Engine.hyperopt.Engine.grape_runs)
+      first second;
+    check_same_flexes "third" second third
+  | _ -> Alcotest.fail "three calls"
+
+let test_flex_memo_tuning_slot_wins () =
+  let blocks = qaoa_blocks () in
+  let engine = Engine.numeric ~settings:quick () in
+  ignore (Engine.flex_many ~workers:1 engine blocks);
+  let slot = { Engine.grape_runs = 99; grape_iterations = 7; seconds = 0.5 } in
+  let rs, stats, _ =
+    Engine.flex_many ~workers:1
+      ~tuning:(List.map (fun _ -> Some slot) blocks)
+      engine blocks
+  in
+  Alcotest.(check int) "served from the memo" 0 stats.Engine.dispatched;
+  List.iter
+    (fun (r : Engine.flex_result) ->
+      Alcotest.(check bool) "slot, not the memoised grid cost" true
+        (r.Engine.hyperopt = slot))
+    rs
+
+let test_flex_memo_faulty_stores_nothing () =
+  let blocks = qaoa_blocks () in
+  let inner = Engine.numeric ~settings:quick () in
+  let rs, _, _ =
+    Engine.flex_many ~workers:4 (Engine.faulty ~rate:1.0 ~seed:3 inner) blocks
+  in
+  Alcotest.(check bool) "all searches injected" true
+    (List.for_all
+       (fun (r : Engine.flex_result) -> r.Engine.search.Engine.fallback <> None)
+       rs);
+  Alcotest.(check int) "no search cached" 0 (Engine.cache_size inner);
+  let _, stats, _ = Engine.flex_many ~workers:1 inner blocks in
+  Alcotest.(check int) "nothing memoised: the healthy engine redoes all"
+    (unique_blocks blocks) stats.Engine.dispatched
+
 (* Property: for seeded random blocks, the batch result is invariant in
    the worker count, fault injection included (model engine keeps the
    property cheap enough to sample widely). *)
@@ -675,7 +794,15 @@ let () =
           Alcotest.test_case "injected never cached" `Quick
             test_faulty_results_never_cached;
           Alcotest.test_case "flex invariant" `Quick
-            test_flex_many_worker_count_invariant ] );
+            test_flex_many_worker_count_invariant;
+          Alcotest.test_case "flex memo: warm batch dispatches nothing" `Quick
+            test_flex_memo_warm_batch_dispatches_nothing;
+          Alcotest.test_case "flex memo: workers 1 = 4" `Quick
+            test_flex_memo_worker_count_invariant;
+          Alcotest.test_case "flex memo: tuning slot wins" `Quick
+            test_flex_memo_tuning_slot_wins;
+          Alcotest.test_case "flex memo: faulty stores nothing" `Quick
+            test_flex_memo_faulty_stores_nothing ] );
       ( "strategies",
         [ Alcotest.test_case "strict invariant" `Quick
             test_strict_partial_worker_invariant;
