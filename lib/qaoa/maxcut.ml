@@ -27,4 +27,6 @@ let hamiltonian g =
   let constant = (0.5 *. float_of_int (Graph.n_edges g), identity) in
   Pauli.make n (constant :: List.map zz g.Graph.edges)
 
-let expected_cut g psi = Pauli.expectation (hamiltonian g) psi
+let expected_cut g =
+  let h = hamiltonian g in
+  fun psi -> Pauli.expectation h psi

@@ -15,4 +15,5 @@ val hamiltonian : Graph.t -> Pauli.t
     basis state equals that state's cut value). *)
 
 val expected_cut : Graph.t -> Pqc_linalg.Cvec.t -> float
-(** <psi| C |psi>: the expected cut value of measuring state psi. *)
+(** <psi| C |psi>: the expected cut value of measuring state psi.  The
+    partial application [expected_cut g] builds C once. *)

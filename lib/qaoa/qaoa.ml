@@ -47,10 +47,8 @@ let optimize ?(max_evals = 600) ?(seed = 1) ?recorder g ~p =
   let x0 =
     Array.init (n_params ~p) (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:Float.pi)
   in
-  let negative_cut theta =
-    let psi = Statevec.run ~theta c in
-    -.Maxcut.expected_cut g psi
-  in
+  let expected_cut = Maxcut.expected_cut g in
+  let negative_cut theta = -.expected_cut (Statevec.run ~theta c) in
   (* One objective evaluation = one variational iteration; log the cut
      (the positive objective), not the minimizer's negated view. *)
   let negative_cut =

@@ -52,17 +52,20 @@ let matrix h =
   List.fold_left (fun acc t -> Cmat.add acc (term_matrix t)) (Cmat.create dim dim)
     h.terms
 
+(* Each term is applied to one scratch copy of [psi] through the
+   simulator's gate kernels, which write the same floats as applying
+   [op_matrix]. *)
 let expectation h psi =
   assert (Cvec.dim psi = 1 lsl h.n_qubits);
+  let phi = Cvec.create (Cvec.dim psi) in
   let term_value t =
     if is_identity t then t.coeff
     else begin
-      let phi = Cvec.copy psi in
+      Cvec.blit ~src:psi ~dst:phi;
       Array.iteri
         (fun q o ->
-          match o with
-          | I -> ()
-          | X | Y | Z -> Statevec.apply_matrix phi (op_matrix o) [| q |])
+          let apply g = Statevec.apply_gate phi g ~theta:[||] [| q |] in
+          match o with I -> () | X -> apply Gate.X | Y -> apply Gate.Y | Z -> apply Gate.Z)
         t.ops;
       t.coeff *. (Cvec.dot psi phi).re
     end

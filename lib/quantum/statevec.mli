@@ -2,9 +2,14 @@ module Cmat = Pqc_linalg.Cmat
 module Cvec = Pqc_linalg.Cvec
 (** State-vector simulator.
 
-    Simulates ideal (noiseless) circuit execution by direct amplitude
-    updates, with dedicated one- and two-qubit kernels that touch each
-    amplitude once per gate.  This is the classical stand-in for the paper's
+    Simulates ideal (noiseless) circuit execution by in-place amplitude
+    updates.  Each gate runs an allocation-free kernel chosen by its
+    structure: diagonal gates scale amplitudes, permutation gates (X, CX,
+    Swap) swap amplitude pairs, and the rest run dense 2x2 / 4x4 kernels
+    over just the pairs or quadruples they touch.  Every kernel writes the
+    floats of the dense matrix product — same products, same summation
+    order, only exact zero products dropped — so results do not depend on
+    which kernel ran.  This is the classical stand-in for the paper's
     quantum hardware in the end-to-end VQE/QAOA examples: the variational
     loop evaluates E[theta] here instead of on a machine.
 
@@ -16,10 +21,13 @@ val init : int -> Cvec.t
 
 val apply_matrix : Cvec.t -> Cmat.t -> int array -> unit
 (** [apply_matrix psi g qubits] applies the 2^k-dimensional unitary [g] to
-    the listed qubits of [psi], in place.  Specialized kernels cover k = 1
-    and k = 2; wider gates go through {!Circuit.embed}. *)
+    the listed qubits of [psi], in place.  Dense kernels cover k = 1 and
+    k = 2; wider gates go through {!Circuit.embed}. *)
 
 val apply_gate : Cvec.t -> Gate.t -> theta:float array -> int array -> unit
+(** [apply_gate psi g ~theta qubits] applies one gate in place through its
+    structural kernel; the same floats as
+    [apply_matrix psi (Gate.matrix g ~theta) qubits]. *)
 
 val run : ?theta:float array -> ?init_state:Cvec.t -> Circuit.t -> Cvec.t
 (** Execute a circuit from |0...0> (or [init_state]) and return the final

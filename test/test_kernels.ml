@@ -1,9 +1,11 @@
 (* Kernel-equivalence suite: pins the Bigarray kernels in Cmat/Expm to
-   naive reference implementations, bit for bit.  The hot kernels (tiled
-   and unrolled products, fused Taylor steps, the dim-2/dim-4 expm
-   specializations) are all refactorings of these textbook loops under the
-   summation-order contract — every float is produced by the same chain of
-   operations in the same order — so equality here is exact IEEE-754
+   naive reference implementations, bit for bit, and the state-vector
+   simulator's output to energies computed on its dense matrix path.  The
+   hot kernels (tiled and unrolled products, fused Taylor steps, the
+   dim-2/dim-4 expm specializations) are all refactorings of these
+   textbook loops under the summation-order contract — every float is
+   produced by the same chain of operations in the same order — so
+   equality here is exact IEEE-754
    equality on the bits, not approximate closeness.  A kernel change that
    reorders a sum fails this suite even when it is mathematically
    equivalent, by design: bit drift would silently break the workers:1 ≡
@@ -302,6 +304,50 @@ let test_expm_into_no_alloc () =
         true (dw < 100.0))
     [ 2; 3; 4; 8 ]
 
+(* --- the state-vector simulator: pinned energies, allocation count --- *)
+
+module Circuit = Pqc_quantum.Circuit
+module Statevec = Pqc_quantum.Statevec
+
+let pinned_theta n = Array.init n (fun i -> 0.37 *. float_of_int (i + 1))
+
+let beh2 = Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.beh2
+
+let check_bits what expected got =
+  Alcotest.(check string) what (Printf.sprintf "%h" expected) (Printf.sprintf "%h" got)
+
+(* The simulator's gate kernels write exactly the floats of the dense
+   matrix path they replaced; these energies were computed on that path. *)
+let test_beh2_energy_pinned () =
+  let h =
+    Pqc_vqe.Chemistry.synthetic ~seed:7
+      ~n_qubits:Pqc_vqe.Molecule.beh2.Pqc_vqe.Molecule.n_qubits
+  in
+  let theta = pinned_theta (Circuit.n_params beh2) in
+  check_bits "BeH2 UCCSD energy" 0x1.f9eb55a482cb8p+0
+    (Pqc_quantum.Pauli.expectation h (Statevec.run ~theta beh2))
+
+let test_qaoa_cut_pinned () =
+  match Pqc_core.Bench_matrix.workload_of_spec "3reg6p2" with
+  | Ok (Pqc_core.Bench_matrix.Qaoa { graph; p }) ->
+    let c = Pqc_qaoa.Qaoa.circuit graph ~p in
+    let theta = pinned_theta (Circuit.n_params c) in
+    check_bits "3reg6p2 p=2 expected cut" 0x1.1b83278943be8p+2
+      (Pqc_qaoa.Maxcut.expected_cut graph (Statevec.run ~theta c))
+  | Ok (Pqc_core.Bench_matrix.Mol _) | Error _ -> Alcotest.fail "3reg6p2 is a QAOA spec"
+
+(* One run of the 2 908-gate BeH2 ansatz: the kernels allocate nothing per
+   gate, so the minor heap grows by the result vector and a few boxes. *)
+let test_statevec_run_allocation () =
+  let theta = pinned_theta (Circuit.n_params beh2) in
+  ignore (Statevec.run ~theta beh2);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Statevec.run ~theta beh2));
+  let per_gate = (Gc.minor_words () -. w0) /. float_of_int (Circuit.length beh2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Statevec.run allocates %.2f minor words per gate (<= 16)" per_gate)
+    true (per_gate <= 16.0)
+
 let () =
   Alcotest.run "kernels"
     [ ( "equivalence",
@@ -317,4 +363,11 @@ let () =
             test_dagger_into_aliasing ] );
       ( "allocation",
         [ Alcotest.test_case "expm_into allocation-free" `Quick
-            test_expm_into_no_alloc ] ) ]
+            test_expm_into_no_alloc;
+          Alcotest.test_case "Statevec.run per-gate allocation" `Quick
+            test_statevec_run_allocation ] );
+      ( "simulator",
+        [ Alcotest.test_case "BeH2 energy bits pinned" `Quick
+            test_beh2_energy_pinned;
+          Alcotest.test_case "3reg6p2 cut bits pinned" `Quick
+            test_qaoa_cut_pinned ] ) ]

@@ -361,6 +361,161 @@ let prop_sim_norm_preserved =
       let c = random_circuit rng 4 30 in
       Float.abs (Cvec.norm (Statevec.run c) -. 1.0) < 1e-9)
 
+(* --- gate kernels against the dense reference --- *)
+
+(* The dense path the simulator's gate kernels must reproduce float for
+   float: each gate applied as its full 2x2 or 4x4 matrix, zero entries
+   included, a 1-qubit row as one left-to-right chain of products and a
+   2-qubit row summed from 0.0 in column order. *)
+let dense_1q psi g bit =
+  let d = Cvec.unsafe_data psi in
+  let g00 = Cmat.get g 0 0 and g01 = Cmat.get g 0 1 in
+  let g10 = Cmat.get g 1 0 and g11 = Cmat.get g 1 1 in
+  for i = 0 to Cvec.dim psi - 1 do
+    if i land bit = 0 then begin
+      let j = i lor bit in
+      let xre = d.{2 * i} and xim = d.{(2 * i) + 1} in
+      let yre = d.{2 * j} and yim = d.{(2 * j) + 1} in
+      d.{2 * i} <- (g00.re *. xre) -. (g00.im *. xim) +. (g01.re *. yre) -. (g01.im *. yim);
+      d.{(2 * i) + 1} <-
+        (g00.re *. xim) +. (g00.im *. xre) +. (g01.re *. yim) +. (g01.im *. yre);
+      d.{2 * j} <- (g10.re *. xre) -. (g10.im *. xim) +. (g11.re *. yre) -. (g11.im *. yim);
+      d.{(2 * j) + 1} <-
+        (g10.re *. xim) +. (g10.im *. xre) +. (g11.re *. yim) +. (g11.im *. yre)
+    end
+  done
+
+let dense_2q psi g hi lo =
+  let d = Cvec.unsafe_data psi in
+  for i = 0 to Cvec.dim psi - 1 do
+    if i land hi = 0 && i land lo = 0 then begin
+      let idx = [| i; i lor lo; i lor hi; i lor hi lor lo |] in
+      let amp = Array.map (fun k -> (d.{2 * k}, d.{(2 * k) + 1})) idx in
+      Array.iteri
+        (fun r k ->
+          let sre = ref 0.0 and sim = ref 0.0 in
+          Array.iteri
+            (fun s (are, aim) ->
+              let z = Cmat.get g r s in
+              sre := !sre +. ((z.re *. are) -. (z.im *. aim));
+              sim := !sim +. ((z.re *. aim) +. (z.im *. are)))
+            amp;
+          d.{2 * k} <- !sre;
+          d.{(2 * k) + 1} <- !sim)
+        idx
+    end
+  done
+
+let dense_apply psi g qubits =
+  let rec log2 d = if d <= 1 then 0 else 1 + log2 (d / 2) in
+  let n = log2 (Cvec.dim psi) in
+  let bit q = 1 lsl (n - 1 - q) in
+  match qubits with
+  | [| q |] -> dense_1q psi g (bit q)
+  | [| a; b |] -> dense_2q psi g (bit a) (bit b)
+  | _ -> invalid_arg "dense_apply: 1- and 2-qubit gates only"
+
+let dense_run ~theta ~init c =
+  let psi = Cvec.copy init in
+  Circuit.iter
+    (fun { Circuit.gate; qubits } -> dense_apply psi (Gate.matrix gate ~theta) qubits)
+    c;
+  psi
+
+(* Float [=] on every component: a signed zero may differ, no other bit. *)
+let same_floats a b =
+  let da = Cvec.unsafe_data a and db = Cvec.unsafe_data b in
+  let ok = ref (Cvec.dim a = Cvec.dim b) in
+  for k = 0 to (2 * Cvec.dim a) - 1 do
+    if !ok && not (da.{k} = db.{k}) then ok := false
+  done;
+  !ok
+
+let random_state rng dim =
+  let v =
+    Cvec.of_array
+      (Array.init dim (fun _ ->
+           { Complex.re = Rng.uniform rng ~lo:(-1.0) ~hi:1.0;
+             im = Rng.uniform rng ~lo:(-1.0) ~hi:1.0 }))
+  in
+  if Cvec.norm v = 0.0 then Cvec.basis dim 0 else Cvec.normalize v
+
+type kernel_case = { circuit : Circuit.t; theta : float array; init : Cvec.t }
+
+(* Circuits over every [Gate.t] constructor on 1-6 qubits, 2-qubit gates
+   on operands in either order and at any distance, run on random theta
+   from a random normalised state. *)
+let gen_kernel_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 6 in
+  let* n_theta = int_range 1 3 in
+  let* theta = array_size (return n_theta) (float_range (-7.0) 7.0) in
+  let param =
+    let* var = int_range 0 (n_theta - 1) in
+    let* scale = float_range (-2.0) 2.0 in
+    let* offset = float_range (-4.0) 4.0 in
+    oneofl [ Param.var ~scale ~offset var; Param.const offset ]
+  in
+  let instr =
+    let* k = int_range 0 (if n >= 2 then 14 else 10) in
+    let* p = param in
+    let gate =
+      match k with
+      | 0 -> Gate.Rx p
+      | 1 -> Gate.Ry p
+      | 2 -> Gate.Rz p
+      | k -> List.nth all_discrete_gates (k - 3)
+    in
+    let* q = int_range 0 (n - 1) in
+    if Gate.arity gate = 1 then return (gate, [ q ])
+    else
+      let+ off = int_range 1 (n - 1) in
+      (gate, [ q; (q + off) mod n ])
+  in
+  let* gates = list_size (int_range 1 40) instr in
+  let+ seed = int_range 0 1_000_000 in
+  { circuit = Circuit.of_gates n gates; theta;
+    init = random_state (Rng.create seed) (1 lsl n) }
+
+let arb_kernel_case =
+  QCheck.make gen_kernel_case ~print:(fun k ->
+      Format.asprintf "theta=[%s]@.%a"
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") k.theta)))
+        Circuit.pp k.circuit)
+
+let prop_kernels_match_dense =
+  QCheck.Test.make ~name:"gate kernels write the dense path's floats" ~count:300
+    arb_kernel_case (fun { circuit; theta; init } ->
+      same_floats
+        (Statevec.run ~theta ~init_state:init circuit)
+        (dense_run ~theta ~init circuit))
+
+let prop_apply_matrix_matches_embed =
+  QCheck.Test.make ~name:"apply_matrix on dense 2x2/4x4 matches embed" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 4 in
+      let a = Rng.int rng n in
+      let qubits =
+        if Rng.bool rng then [| a |] else [| a; (a + 1 + Rng.int rng (n - 1)) mod n |]
+      in
+      let k = 1 lsl Array.length qubits in
+      let g = Cmat.create k k in
+      for i = 0 to k - 1 do
+        for j = 0 to k - 1 do
+          Cmat.set g i j
+            { Complex.re = Rng.uniform rng ~lo:(-1.0) ~hi:1.0;
+              im = Rng.uniform rng ~lo:(-1.0) ~hi:1.0 }
+        done
+      done;
+      let psi = random_state rng (1 lsl n) in
+      let got = Cvec.copy psi and reference = Cvec.copy psi in
+      Statevec.apply_matrix got g qubits;
+      dense_apply reference g qubits;
+      same_floats got reference
+      && Cvec.max_abs_diff got (Cmat.apply (Circuit.embed ~n g qubits) psi) < 1e-12)
+
 let test_measure_deterministic_state () =
   let rng = Rng.create 5 in
   let c = Circuit.of_gates 2 [ (Gate.X, [ 0 ]) ] in
@@ -758,7 +913,9 @@ let () =
           Alcotest.test_case "init state" `Quick test_init_state_override;
           Alcotest.test_case "wide gate kernel" `Quick test_wide_gate_kernel;
           QCheck_alcotest.to_alcotest prop_sim_matches_matrix;
-          QCheck_alcotest.to_alcotest prop_sim_norm_preserved ] );
+          QCheck_alcotest.to_alcotest prop_sim_norm_preserved;
+          QCheck_alcotest.to_alcotest prop_kernels_match_dense;
+          QCheck_alcotest.to_alcotest prop_apply_matrix_matches_embed ] );
       ( "pauli",
         [ Alcotest.test_case "parse" `Quick test_pauli_parse;
           Alcotest.test_case "Z expectations" `Quick test_pauli_z_expectations;
