@@ -1,8 +1,8 @@
 (** Regression comparison between two benchmark reports.
 
-    [partialc bench diff OLD.json NEW.json] (and the CI [bench-regression]
-    job) compares experiments keyed by (name, strategy, engine) and flags
-    regressions:
+    [partialc bench diff OLD.json NEW.json] (and the kernel and smoke
+    bench gates in [test/dune]) compares experiments keyed by (name,
+    strategy, engine) and flags regressions:
 
     - pulse duration grew by more than [threshold_pct] (pulse durations
       are deterministic per strategy, so any growth is a real compiler

@@ -221,6 +221,20 @@ let manifest_of_json s =
               Error (Printf.sprintf "manifest: fault plan %S: %s" spec e)))
         plan_specs
     in
+    (* Each cell checks its parallel compile against a fault-free
+       sequential one.  Engine sites change pulse durations, so every cell
+       of such a plan would report a mismatch. *)
+    let* () =
+      if
+        List.exists
+          (Option.fold ~none:false ~some:Fault.injects_engine_faults)
+          fault_plans
+      then
+        Error
+          "manifest: fault plans may not use engine sites (nan, no-converge, \
+           stall)"
+      else Ok ()
+    in
     (* A hanging worker is only recoverable when the pool has an item
        deadline to kill it against; without one the matrix would block
        forever, so reject the combination up front. *)
@@ -359,10 +373,9 @@ let theta_for seed c =
   let n = Circuit.n_params c in
   Array.init n (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:(2.0 *. Float.pi))
 
-(* Mirrors the bench harness's numeric settings: no wall-clock deadline
-   (a deadline firing in one run but not another would break the
-   byte-identical determinism contract); the iteration budget bounds the
-   work instead. *)
+(* Numeric cells run without a wall-clock deadline (a deadline firing in
+   one run but not another would break the byte-identical determinism
+   contract); the iteration budget bounds the work instead. *)
 let numeric_settings () =
   { Engine.Grape.fast_settings with
     Engine.Grape.dt = 1.0;

@@ -34,7 +34,11 @@
       "strategies": ["strict", "flexible"],
       "workers": [1, 4],
       "fault_plans": ["none", "seed=5,partial-pipe=0.5"] }
-    v} *)
+    v}
+    Fault plans use the {!Fault} spec syntax, restricted to worker and
+    storage sites: an engine site ([nan], [no-converge], [stall]) would
+    change the parallel compile's pulses against the fault-free
+    sequential reference, so a manifest naming one is rejected. *)
 
 module Circuit = Pqc_quantum.Circuit
 
@@ -70,9 +74,10 @@ type manifest = {
 
 val manifest_of_json : string -> (manifest, string) result
 (** Parse and validate a manifest document.  Validation is total:
-    unknown workloads/topologies/strategies, malformed fault plans, an
-    empty axis, a grid topology over an odd-width workload, or a
-    hanging fault plan without [item_deadline_s] are all [Error] —
+    unknown workloads/topologies/strategies, malformed fault plans, a
+    fault plan with an engine site, an empty axis, a grid topology over
+    an odd-width workload, or a hanging fault plan without
+    [item_deadline_s] are all [Error] —
     every cell of an accepted manifest can execute. *)
 
 val load_manifest : path:string -> (manifest, string) result

@@ -10,12 +10,12 @@
     {!Pqc_obs.Obs.Metrics.Agg} — merging buckets, not averaging
     summaries.
 
-    The rollup document is a valid schema-v3 {!Bench_report} with extra
-    top-level keys ([cells], [missing_cells], [fleet_metrics]) that the
-    report reader ignores, so [partialc bench diff] gates a rollup
-    against a rollup baseline with no special casing: pulse-duration
-    growth and vanished cells (missing experiments) gate exactly like
-    single-report regressions. *)
+    The rollup document is a valid schema-v{!Bench_report.schema_version}
+    {!Bench_report} with extra top-level keys ([cells], [missing_cells],
+    [fleet_metrics]) that the report reader ignores, so
+    [partialc bench diff] gates a rollup against a rollup baseline with
+    no special casing: pulse-duration growth and vanished cells (missing
+    experiments) gate exactly like single-report regressions. *)
 
 type t = {
   report : Bench_report.t;

@@ -336,10 +336,15 @@ let bind_flexible ~workers ~engine ~n ~templates ~extracts ~tuning ~theta =
     Engine.flex_many ?workers ~tuning:(Array.to_list tuning) engine
       (List.map (fun e -> Circuit.bind e theta) extracts)
   in
-  List.iteri
-    (fun i (fr : Engine.flex_result) ->
-      if Option.is_none tuning.(i) then tuning.(i) <- Some fr.Engine.hyperopt)
-    results;
+  (* Tuning measured while a fault plan injects engine failures was run at
+     fallback durations; the plan does not keep it. *)
+  if not (Option.fold ~none:false ~some:Fault.injects_engine_faults
+            (Fault.current ()))
+  then
+    List.iteri
+      (fun i (fr : Engine.flex_result) ->
+        if Option.is_none tuning.(i) then tuning.(i) <- Some fr.Engine.hyperopt)
+      results;
   let precompute = ref Engine.zero_cost in
   let per_iteration = ref Engine.zero_cost in
   let degs = ref [] in

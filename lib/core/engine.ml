@@ -6,7 +6,6 @@ module Pulse_model = Pqc_pulse.Pulse_model
 module Grape = Pqc_grape.Grape
 module Hamiltonian = Pqc_grape.Hamiltonian
 module Hyperopt = Pqc_hyperopt.Hyperopt
-module Rng = Pqc_util.Rng
 module Pool = Pqc_parallel.Pool
 module Obs = Pqc_obs.Obs
 
@@ -49,18 +48,9 @@ type numeric_config = {
   mutable cache_salvaged : int;
 }
 
-type fault = Nan_fidelity | No_converge | Stall
-
-(* [fseed] keeps the original seed around so batch drivers can derive an
-   independent, position-keyed injection stream per item: a shared
-   mutable [frng] would make the injection pattern depend on execution
-   order, which forked workers do not preserve. *)
-type fault_plan = { frng : Rng.t; fseed : int; rate : float; kinds : fault array }
-
 type t =
   | Model
   | Numeric of numeric_config
-  | Faulty of fault_plan * t
 
 let model = Model
 
@@ -137,29 +127,11 @@ let numeric ?(settings = Grape.fast_settings) ?system_for ?policy ?deadline_s
   (match cache_file with Some path -> load_cache cfg path | None -> ());
   Numeric cfg
 
-let faulty ?(rate = 1.0) ?(kinds = [| Nan_fidelity; No_converge; Stall |])
-    ~seed inner =
-  if Array.length kinds = 0 then
-    invalid_arg "Engine.faulty: kinds must be non-empty";
-  Faulty ({ frng = Rng.create seed; fseed = seed; rate; kinds }, inner)
+let is_numeric = function Numeric _ -> true | Model -> false
 
-type base = Base_model | Base_numeric of numeric_config
-
-(* The outermost fault plan wins; inner wrappers are inert. *)
-let rec unwrap = function
-  | Faulty (p, b) ->
-    let _, base = unwrap b in
-    (Some p, base)
-  | Model -> (None, Base_model)
-  | Numeric cfg -> (None, Base_numeric cfg)
-
-let is_numeric t =
-  match unwrap t with _, Base_numeric _ -> true | _, Base_model -> false
-
-let persist_result t =
-  match unwrap t with
-  | _, Base_model -> Ok ()
-  | _, Base_numeric cfg ->
+let persist_result = function
+  | Model -> Ok ()
+  | Numeric cfg ->
     (match cfg.cache_file with
      | None -> Ok ()
      | Some path ->
@@ -195,20 +167,12 @@ let persist_result t =
 let persist t =
   match persist_result t with Ok () -> () | Error _ -> ()
 
-let cache_size t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> Hashtbl.length cfg.cache
+let cache_size = function
+  | Model -> 0
+  | Numeric cfg -> Hashtbl.length cfg.cache
 
-let cache_dropped t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> cfg.cache_dropped
-
-let cache_salvaged t =
-  match unwrap t with
-  | _, Base_model -> 0
-  | _, Base_numeric cfg -> cfg.cache_salvaged
+let cache_dropped = function Model -> 0 | Numeric cfg -> cfg.cache_dropped
+let cache_salvaged = function Model -> 0 | Numeric cfg -> cfg.cache_salvaged
 
 (* Canonical key of a bound block, for memoization.  Angles are keyed on
    their exact IEEE-754 bits: a printf truncation here once made bindings
@@ -297,11 +261,6 @@ let numeric_attempt cfg settings deadline c =
     else Error Resilience.Diverged
   | exception Invalid_argument _ -> Error Resilience.Non_finite
 
-let inject plan =
-  match plan with
-  | Some p when Rng.float p.frng 1.0 < p.rate -> Some (Rng.choice p.frng p.kinds)
-  | _ -> None
-
 (* Gate-based lookup duration: realizable by concatenation, always finite
    — the terminal rung of the degradation ladder. *)
 let fallback_result c reason spent =
@@ -311,63 +270,61 @@ let fallback_result c reason spent =
     fallback = Some reason;
     run_id = Obs.Ctx.current () }
 
-(* [search] plus a flag telling whether the result was produced under an
-   injected fault (and therefore must never be cached or persisted) —
-   the batch drivers ship this flag over the worker pipe so the parent's
-   merge step applies the same no-poison rule as the in-process path. *)
-let search_flagged t c =
+let search t c =
   require_bound c;
   if Circuit.length c = 0 then
-    ({ duration_ns = 0.0; search_cost = zero_cost; fidelity = None;
-       fallback = None; run_id = Obs.Ctx.current () },
-     false)
+    { duration_ns = 0.0; search_cost = zero_cost; fidelity = None;
+      fallback = None; run_id = Obs.Ctx.current () }
   else
-    let plan, base = unwrap t in
     let policy, deadline =
-      match base with
-      | Base_numeric cfg ->
-        (cfg.policy, Resilience.of_seconds cfg.deadline_s)
-      | Base_model -> (Resilience.default_policy, Resilience.no_deadline)
+      match t with
+      | Numeric cfg -> (cfg.policy, Resilience.of_seconds cfg.deadline_s)
+      | Model -> (Resilience.default_policy, Resilience.no_deadline)
     in
     let cached_key =
-      match base with
-      | Base_numeric cfg ->
+      match t with
+      | Numeric cfg ->
         let key = block_key c in
         (match Hashtbl.find_opt cfg.cache key with
          | Some r -> Either.Left r
          | None -> Either.Right (Some (cfg, key)))
-      | Base_model -> Either.Right None
+      | Model -> Either.Right None
     in
     match cached_key with
     | Either.Left r ->
       Obs.count "engine.cache.hit";
-      (r, false)
+      r
     | Either.Right store ->
       (match store with
       | Some _ -> Obs.count "engine.cache.miss"
       | None -> ());
+      (* An engine site of the active fault plan fails every attempt, so
+         the injected failure runs the real retry and fallback path.  The
+         model engine keys blocks only when a plan is active. *)
+      let injected =
+        Option.bind (Fault.current ()) (fun plan ->
+            let block =
+              match store with Some (_, key) -> key | None -> block_key c
+            in
+            Fault.engine_failure plan ~block)
+      in
       Obs.Span.with_ ~name:"engine.search"
         ~attrs:
           [ ("width", string_of_int (Circuit.n_qubits c));
             ("gates", string_of_int (Circuit.length c)) ]
       @@ fun () ->
-      let injected = ref false in
       (* Real (non-injected) attempts that failed still burned optimizer
          time; surface at least the run count in the fallback's cost. *)
       let failed_runs = ref 0 in
       let attempt ~attempt =
-        match inject plan with
-        | Some Nan_fidelity -> injected := true; Error Resilience.Non_finite
-        | Some No_converge -> injected := true; Error Resilience.Diverged
-        | Some Stall -> injected := true; Error Resilience.Deadline_exceeded
-        | None ->
-          (match base with
-           | Base_model -> Ok (model_search c)
-           | Base_numeric cfg ->
-             let settings = Resilience.retune cfg.policy ~attempt cfg.settings in
-             match numeric_attempt cfg settings deadline c with
-             | Ok _ as ok -> ok
-             | Error _ as e -> incr failed_runs; e)
+        match injected, t with
+        | Some failure, _ -> Error failure
+        | None, Model -> Ok (model_search c)
+        | None, Numeric cfg ->
+          let settings = Resilience.retune cfg.policy ~attempt cfg.settings in
+          (match numeric_attempt cfg settings deadline c with
+           | Ok _ as ok -> ok
+           | Error _ as e -> incr failed_runs; e)
       in
       let r =
         match Resilience.with_retries policy deadline attempt with
@@ -379,18 +336,16 @@ let search_flagged t c =
          test poison into later, healthy searches.  Genuine results —
          including genuine degradations — are memoized as before. *)
       (match store with
-       | Some (cfg, key) when not !injected -> Hashtbl.replace cfg.cache key r
+       | Some (cfg, key) when injected = None -> Hashtbl.replace cfg.cache key r
        | _ -> ());
-      (r, !injected)
-
-let search t c = fst (search_flagged t c)
+      r
 
 let tuned_run_cost t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
-  match unwrap t with
-  | _, Base_model when not (Float.is_finite duration) -> unattainable
-  | _, Base_model ->
+  match t with
+  | Model when not (Float.is_finite duration) -> unattainable
+  | Model ->
     let iters =
       float_of_int (Latency_model.default_iterations width)
       /. Latency_model.tuning_speedup width
@@ -399,7 +354,7 @@ let tuned_run_cost t c ~duration =
     { grape_runs = 1;
       grape_iterations = int_of_float iters;
       seconds = iters *. Latency_model.seconds_per_iteration ~width ~steps }
-  | _, Base_numeric cfg ->
+  | Numeric cfg ->
     let sys = cfg.system_for width in
     let target = Circuit.unitary c in
     let deadline = Resilience.of_seconds cfg.deadline_s in
@@ -413,9 +368,9 @@ let tuned_run_cost t c ~duration =
 let hyperopt_cost t c ~duration =
   require_bound c;
   let width = Circuit.n_qubits c in
-  match unwrap t with
-  | _, Base_model when not (Float.is_finite duration) -> unattainable
-  | _, Base_model ->
+  match t with
+  | Model when not (Float.is_finite duration) -> unattainable
+  | Model ->
     let iters =
       Latency_model.hyperopt_grid_evals * Latency_model.default_iterations width
     in
@@ -424,7 +379,7 @@ let hyperopt_cost t c ~duration =
       grape_iterations = iters;
       seconds =
         float_of_int iters *. Latency_model.seconds_per_iteration ~width ~steps }
-  | _, Base_numeric cfg ->
+  | Numeric cfg ->
     (* Wall clock, not [Sys.time] (process CPU time): hyperopt probes can
        block on deadlines or fault hooks, and CPU time would silently drop
        that.  Started before [system_for] so Hamiltonian construction is
@@ -468,25 +423,12 @@ let add_pool_stats a b =
 
 (* Block results travel over the worker pipe in the pulse-cache record
    format, so they carry the same FNV-1a checksum on the wire as on
-   disk.  A leading flag char marks results produced under an injected
-   fault — those must never reach the cache. *)
-let encode_search key (r, injected) =
-  (if injected then "!" else "=")
-  ^ Pulse_cache.encode_entry (entry_of_result key r)
+   disk. *)
+let encode_search key r = Pulse_cache.encode_entry (entry_of_result key r)
 
 let decode_search s =
-  if String.length s < 2 then None
-  else
-    let injected =
-      match s.[0] with '!' -> Some true | '=' -> Some false | _ -> None
-    in
-    Option.bind injected (fun injected ->
-        Option.bind
-          (Pulse_cache.decode_entry (String.sub s 1 (String.length s - 1)))
-          (fun (e : Pulse_cache.entry) ->
-            Option.map
-              (fun r -> (e.key, (r, injected)))
-              (result_of_entry e)))
+  Option.bind (Pulse_cache.decode_entry s) (fun (e : Pulse_cache.entry) ->
+      Option.map (fun r -> (e.key, r)) (result_of_entry e))
 
 let encode_cost (c : cost) =
   let p =
@@ -510,35 +452,25 @@ let decode_cost s =
       | _ -> None
       | exception _ -> None)
 
-(* Each batch item gets its own injection stream, keyed on the plan seed
-   and the item's input position: the pattern of injected faults is then
-   a pure function of the batch, identical whether items run in one
-   process or across any number of forked workers, in any order. *)
-let item_engine t plan idx =
-  match plan with
-  | None -> t
-  | Some p ->
-    Faulty ({ p with frng = Rng.create (p.fseed + ((idx + 1) * 0x2545f491)) }, t)
-
 (* Generic batch driver: dedup by block key, resolve memo hits in the
    parent, fan the rest out over the pool, verify each record landed on
-   the key it was dispatched for, merge cacheable results back into the
-   memo table, and reassemble per input order.  [compute] runs in forked
-   children {e and} in the parent (sequential mode and recovery), so the
-   two paths stay behaviorally identical by construction. *)
+   the key it was dispatched for, merge results back into the memo table
+   (except those the active fault plan injected into, a decision the
+   parent recomputes from the key), and reassemble per input order.
+   [compute] runs in forked children {e and} in the parent (sequential
+   mode and recovery), so the two paths stay behaviorally identical by
+   construction. *)
 let run_batch (type r) ?workers ?min_items ?keys t circuits
-    ~(compute : t -> int -> Pqc_quantum.Circuit.t -> r)
+    ~(compute : int -> Pqc_quantum.Circuit.t -> r)
     ~(encode : string -> r -> string)
     ~(decode : string -> (string * r) option)
     ~(cached : numeric_config -> int -> string -> r option)
-    ~(cacheable : r -> bool)
     ~(store : numeric_config -> int -> string -> r -> unit) :
     r list * pool_stats * Resilience.degradation list =
   List.iter require_bound circuits;
   Obs.Span.with_ ~name:"engine.batch"
     ~attrs:[ ("items", string_of_int (List.length circuits)) ]
   @@ fun () ->
-  let plan, base = unwrap t in
   let n = List.length circuits in
   let keys =
     match keys with
@@ -568,12 +500,12 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
              (* Empty blocks are free; computing them in-process keeps
                 them out of the cache, exactly as the single-item path
                 does. *)
-             cell := Some (compute t i c)
+             cell := Some (compute i c)
            else
              let hit =
-               match base with
-               | Base_numeric cfg -> cached cfg i k
-               | Base_model -> None
+               match t with
+               | Numeric cfg -> cached cfg i k
+               | Model -> None
              in
              match hit with
              | Some r ->
@@ -602,12 +534,16 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
     | None -> Printf.sprintf "item#%d" idx
   in
   let f (idx, _k, c) =
-    Obs.Ctx.with_ctx (item_ctx idx) (fun () ->
-        compute (item_engine t plan idx) idx c)
+    Obs.Ctx.with_ctx (item_ctx idx) (fun () -> compute idx c)
   in
   (* Force the chaos plan (PQC_FAULT_PLAN) to parse and install its pool
      hook before any fork, so seeded worker faults apply to this batch. *)
-  ignore (Fault.current ());
+  let plan = Fault.current () in
+  let injected k =
+    match plan with
+    | Some p -> Option.is_some (Fault.engine_failure p ~block:k)
+    | None -> false
+  in
   let todo_arr = Array.of_list todo in
   let pool_out, pstats =
     Pool.map ?workers ?min_items
@@ -645,8 +581,8 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
                 idx;
             run_id = item_ctx idx }
           :: !degs;
-      (match base with
-      | Base_numeric cfg when cacheable r -> store cfg idx k r
+      (match t with
+      | Numeric cfg when not (injected k) -> store cfg idx k r
       | _ -> ());
       cell := Some r)
     (List.combine todo todo_cells) pool_out;
@@ -667,17 +603,11 @@ let run_batch (type r) ?workers ?min_items ?keys t circuits
   (out, stats, List.rev !degs)
 
 let search_many ?workers ?min_items ?keys t circuits =
-  let rs, stats, degs =
-    run_batch ?workers ?min_items ?keys t circuits
-      ~compute:(fun eng _ c -> search_flagged eng c)
-      ~encode:encode_search
-      ~decode:decode_search
-      ~cached:(fun cfg _ k ->
-        Option.map (fun r -> (r, false)) (Hashtbl.find_opt cfg.cache k))
-      ~cacheable:(fun (_, injected) -> not injected)
-      ~store:(fun cfg _ k (r, _) -> Hashtbl.replace cfg.cache k r)
-  in
-  (List.map fst rs, stats, degs)
+  run_batch ?workers ?min_items ?keys t circuits
+    ~compute:(fun _ c -> search t c)
+    ~encode:encode_search ~decode:decode_search
+    ~cached:(fun cfg _ k -> Hashtbl.find_opt cfg.cache k)
+    ~store:(fun cfg _ k r -> Hashtbl.replace cfg.cache k r)
 
 type flex_result = { search : block_result; hyperopt : cost; tuned : cost }
 
@@ -688,44 +618,42 @@ let flex_many ?workers ?min_items ?tuning t circuits =
     | Some ts when List.length ts = List.length circuits -> Array.of_list ts
     | Some _ -> invalid_arg "Engine.flex_many: one tuning slot per circuit"
   in
-  let memo eng c =
-    match unwrap eng with
-    | _, Base_numeric cfg -> Hashtbl.find_opt cfg.flex (block_key c)
-    | _, Base_model -> None
+  let memo c =
+    match t with
+    | Numeric cfg -> Hashtbl.find_opt cfg.flex (block_key c)
+    | Model -> None
   in
   (* A block whose search, tuned run and tuning are all memoised never
      dispatches; one that is only partly memoised (tuned but never tuned
      by the grid, say) reruns just the missing part.  A plan's tuning
      slot takes precedence over the memo. *)
-  let compute eng i c =
-    let r, injected = search_flagged eng c in
-    let m = memo eng c in
+  let compute i c =
+    let r = search t c in
+    let m = memo c in
     let hyperopt =
       match tuning.(i), Option.bind m (fun m -> m.hyperopt) with
       | Some h, _ | None, Some h -> h
-      | None, None -> hyperopt_cost eng c ~duration:r.duration_ns
+      | None, None -> hyperopt_cost t c ~duration:r.duration_ns
     in
     let tuned =
       match m with
       | Some m -> m.tuned
-      | None -> tuned_run_cost eng c ~duration:r.duration_ns
+      | None -> tuned_run_cost t c ~duration:r.duration_ns
     in
     if Option.is_some m then Obs.count "engine.flex.memo_hit";
-    ({ search = r; hyperopt; tuned }, injected)
+    { search = r; hyperopt; tuned }
   in
-  let encode k ({ search = r; hyperopt; tuned }, injected) =
+  let encode k { search = r; hyperopt; tuned } =
     String.concat "\x1f"
-      [ encode_search k (r, injected); encode_cost hyperopt;
-        encode_cost tuned ]
+      [ encode_search k r; encode_cost hyperopt; encode_cost tuned ]
   in
   let decode s =
     match String.split_on_char '\x1f' s with
     | [ se; he; te ] ->
-      Option.bind (decode_search se) (fun (k, (r, injected)) ->
+      Option.bind (decode_search se) (fun (k, r) ->
           Option.bind (decode_cost he) (fun hyperopt ->
               Option.map
-                (fun tuned ->
-                  (k, ({ search = r; hyperopt; tuned }, injected)))
+                (fun tuned -> (k, { search = r; hyperopt; tuned }))
                 (decode_cost te)))
     | _ -> None
   in
@@ -735,21 +663,17 @@ let flex_many ?workers ?min_items ?tuning t circuits =
       (match tuning.(i), hyperopt with
        | Some h, _ | None, Some h ->
          Obs.count "engine.flex.memo_hit";
-         Some ({ search; hyperopt = h; tuned }, false)
+         Some { search; hyperopt = h; tuned }
        | None, None -> None)
     | _ -> None
   in
   (* Only dispatched blocks are stored, and a block with a tuning slot
      dispatches only while it has no memo entry at all, so nothing is lost
      by leaving its [hyperopt] unset. *)
-  let store cfg i k ({ search = r; hyperopt; tuned }, _) =
+  let store cfg i k { search = r; hyperopt; tuned } =
     Hashtbl.replace cfg.cache k r;
     let hyperopt = if Option.is_none tuning.(i) then Some hyperopt else None in
     Hashtbl.replace cfg.flex k { tuned; hyperopt }
   in
-  let rs, stats, degs =
-    run_batch ?workers ?min_items t circuits ~compute ~encode ~decode ~cached
-      ~cacheable:(fun (_, injected) -> not injected)
-      ~store
-  in
-  (List.map fst rs, stats, degs)
+  run_batch ?workers ?min_items t circuits ~compute ~encode ~decode ~cached
+    ~store

@@ -67,18 +67,6 @@ val numeric :
 
 val is_numeric : t -> bool
 
-type fault = Nan_fidelity | No_converge | Stall
-
-val faulty : ?rate:float -> ?kinds:fault array -> seed:int -> t -> t
-(** Seeded fault-injection wrapper for resilience testing: each
-    {!search} on the wrapped engine fails with probability [rate]
-    (default 1.0) with a kind drawn from [kinds] (default: all three).
-    [Nan_fidelity] presents as {!Resilience.Non_finite}, [No_converge]
-    as [Diverged], [Stall] as [Deadline_exceeded].  Injected failures
-    pass through the same retry/degradation machinery as real ones, but
-    their results are never cached.  Raises [Invalid_argument] on empty
-    [kinds]. *)
-
 val block_key : Circuit.t -> string
 (** Canonical memoization key of a bound block: width, gate names, exact
     IEEE-754 angle bits, operand qubits.  Distinct bindings — however
@@ -88,7 +76,13 @@ val search : t -> Circuit.t -> block_result
 (** Minimal pulse duration of a parameter-free block (width <= 4, operands
     of two-qubit gates adjacent under the engine's topology).  Never
     raises on optimizer failure: after bounded retries it returns the
-    gate-based duration with [fallback] set. *)
+    gate-based duration with [fallback] set.
+
+    After a memo miss the search asks the active {!Fault} plan: when one
+    of its engine sites ([nan], [no-converge], [stall]) fires for the
+    block, every attempt fails with {!Resilience.Non_finite},
+    [Diverged] or [Deadline_exceeded], the block gets the gate-based
+    fallback, and the result is never memoised. *)
 
 val persist_result : t -> (unit, Resilience.degradation) result
 (** Write the memo table to the engine's [cache_file] via
@@ -135,9 +129,9 @@ val hyperopt_cost : t -> Circuit.t -> duration:float -> cost
     ({!Pqc_parallel.Pool}) and reassembling results in input order.
     They are {e deterministic in the worker count}: for any [workers],
     the returned durations, fidelities, fallbacks and iteration counts
-    are identical to the sequential run — including under {!faulty}
-    injection, whose per-item streams are keyed on batch position rather
-    than execution order.  Only measured wall-clock [seconds] fields may
+    are identical to the sequential run — including under {!Fault}
+    engine sites, whose decisions are keyed on the block rather than on
+    execution order.  Only measured wall-clock [seconds] fields may
     differ between runs. *)
 
 type pool_stats = {
@@ -173,9 +167,10 @@ val search_many :
     run sequentially in-process — a cache-hot batch never pays fork
     overhead.  Results travel back in the checksummed {!Pulse_cache}
     record format; any lost or corrupt record is recomputed in the
-    parent and recorded as a [Worker_lost] degradation.  Genuine
-    (non-injected) results are merged into the engine's memo table
-    exactly as {!search} would. *)
+    parent and recorded as a [Worker_lost] degradation.  Results are
+    merged into the engine's memo table exactly as {!search} would,
+    except those of blocks the active {!Fault} plan injected into: the
+    parent recomputes that decision from the block's key. *)
 
 type flex_result = {
   search : block_result;

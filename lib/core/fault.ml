@@ -8,10 +8,13 @@ type site =
   | Partial_pipe
   | Cache_truncate
   | Enospc
+  | Engine_nan
+  | Engine_no_converge
+  | Engine_stall
 
 let all_sites =
   [ Worker_hang; Worker_crash_pre; Worker_crash_mid; Partial_pipe;
-    Cache_truncate; Enospc ]
+    Cache_truncate; Enospc; Engine_nan; Engine_no_converge; Engine_stall ]
 
 let site_to_string = function
   | Worker_hang -> "hang"
@@ -20,6 +23,9 @@ let site_to_string = function
   | Partial_pipe -> "partial-pipe"
   | Cache_truncate -> "truncate"
   | Enospc -> "enospc"
+  | Engine_nan -> "nan"
+  | Engine_no_converge -> "no-converge"
+  | Engine_stall -> "stall"
 
 let site_of_string = function
   | "hang" -> Some Worker_hang
@@ -28,6 +34,9 @@ let site_of_string = function
   | "partial-pipe" -> Some Partial_pipe
   | "truncate" -> Some Cache_truncate
   | "enospc" -> Some Enospc
+  | "nan" -> Some Engine_nan
+  | "no-converge" -> Some Engine_no_converge
+  | "stall" -> Some Engine_stall
   | _ -> None
 
 let site_index = function
@@ -37,6 +46,9 @@ let site_index = function
   | Partial_pipe -> 4
   | Cache_truncate -> 5
   | Enospc -> 6
+  | Engine_nan -> 7
+  | Engine_no_converge -> 8
+  | Engine_stall -> 9
 
 type plan = { seed : int; rates : float array (* indexed by site_index *) }
 
@@ -53,7 +65,9 @@ let to_string plan =
          all_sites)
 
 let parse spec =
-  let plan = { seed = 0; rates = Array.make 7 0.0 } in
+  let plan =
+    { seed = 0; rates = Array.make (List.length all_sites + 1) 0.0 }
+  in
   let fields =
     List.filter
       (fun f -> String.trim f <> "")
@@ -131,6 +145,23 @@ let decide plan site ~key =
     in
     u < r
   end
+
+(* Engine sites, in the order they are consulted, with the optimizer
+   failure each presents as.  Keyed by a hash of the block's memo key, so
+   whether a block is faulted depends on the plan and the block alone. *)
+let engine_failures =
+  [ (Engine_nan, Resilience.Non_finite);
+    (Engine_no_converge, Resilience.Diverged);
+    (Engine_stall, Resilience.Deadline_exceeded) ]
+
+let engine_failure plan ~block =
+  let key = Hashtbl.hash block in
+  List.find_map
+    (fun (site, failure) -> if decide plan site ~key then Some failure else None)
+    engine_failures
+
+let injects_engine_faults plan =
+  List.exists (fun (site, _) -> rate plan site > 0.0) engine_failures
 
 (* --- Active plan --- *)
 

@@ -573,12 +573,16 @@ let test_ranking_matches_committed_baseline () =
       | "full-grape" -> Rule.Full_grape
       | s -> Alcotest.fail ("unknown strategy in baseline: " ^ s)
     in
+    (* Baseline experiments are bench-matrix cells named
+       "<workload>+<topology>+w<workers>+fp<plan>"; the line topology is
+       the one [Compiler.prepare] routes onto by default. *)
     let circuit_of name =
-      match name with
-      | "uccsd-h2" -> Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.h2)
-      | "uccsd-lih" ->
-        Compiler.prepare (Pqc_vqe.Uccsd.ansatz Pqc_vqe.Molecule.lih)
-      | s -> Alcotest.fail ("unknown benchmark in baseline: " ^ s)
+      match String.split_on_char '+' name with
+      | spec :: "line" :: _ -> (
+        match Pqc_core.Bench_matrix.circuit_of_spec spec with
+        | Ok c -> Compiler.prepare c
+        | Error e -> Alcotest.fail e)
+      | _ -> Alcotest.fail ("unexpected cell in baseline: " ^ name)
     in
     let rows =
       List.map

@@ -14,6 +14,11 @@ module Compiler = Pqc_core.Compiler
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
@@ -117,6 +122,28 @@ let test_manifest_rejects () =
           {|{ "workloads": ["h2"], "strategies": ["strict"],
               "item_deadline_s": 5.0,
               "fault_plans": ["seed=1,hang=0.5"] }|}))
+
+(* Engine sites would make every cell's parallel pulse differ from its
+   fault-free sequential reference; worker and storage sites are fine. *)
+let test_manifest_rejects_engine_sites () =
+  let with_plan plan =
+    Printf.sprintf
+      {|{ "workloads": ["h2"], "strategies": ["strict"],
+          "fault_plans": ["none", %S] }|}
+      plan
+  in
+  List.iter
+    (fun plan ->
+      match Bench_matrix.manifest_of_json (with_plan plan) with
+      | Ok _ -> Alcotest.failf "%s: expected Error, got Ok" plan
+      | Error e ->
+        checkb (plan ^ ": error names engine sites") true
+          (contains e "engine sites"))
+    [ "seed=1,nan=0.5"; "seed=1,no-converge=1"; "seed=1,partial-pipe=0.5,stall=0.1" ];
+  ignore
+    (ok_or_fail "storage site with engine sites at rate 0"
+       (Bench_matrix.manifest_of_json
+          (with_plan "seed=1,nan=0,enospc=1")))
 
 (* ---- expansion ------------------------------------------------------- *)
 
@@ -530,11 +557,6 @@ let prop_reader_requires_core_fields =
       | Ok _ -> QCheck.Test.fail_reportf "accepted doc without %s" dropped
       | Error e ->
         (* The error must point at the missing field by name. *)
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        in
         contains e dropped)
 
 let test_writer_reader_roundtrip_hostile () =
@@ -584,7 +606,9 @@ let () =
     [ ( "manifest",
         [ Alcotest.test_case "parse" `Quick test_manifest_parse;
           Alcotest.test_case "defaults" `Quick test_manifest_defaults;
-          Alcotest.test_case "rejects invalid" `Quick test_manifest_rejects ] );
+          Alcotest.test_case "rejects invalid" `Quick test_manifest_rejects;
+          Alcotest.test_case "rejects engine fault sites" `Quick
+            test_manifest_rejects_engine_sites ] );
       ( "expansion",
         [ Alcotest.test_case "cartesian product" `Quick test_expand_product;
           Alcotest.test_case "committed smoke manifest" `Quick

@@ -54,7 +54,7 @@ let leak_checked f =
 (* --- Fault plans: parse / canonical spec / pure decisions --- *)
 
 let test_plan_parse_round_trip () =
-  let spec = "seed=42,hang=0.5,crash-pre=0.25,truncate=1" in
+  let spec = "seed=42,hang=0.5,crash-pre=0.25,truncate=1,stall=0.5" in
   match Fault.parse spec with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok p ->

@@ -411,9 +411,17 @@ let test_numeric_engine_end_to_end () =
 
 module Obs = Pqc_obs.Obs
 module Pulse = Pqc_pulse.Pulse
+module Fault = Pqc_core.Fault
 
 (* A structurally equal circuit value no plan has seen. *)
 let fresh c = Circuit.map_gates Fun.id c
+
+let with_faults spec f =
+  match Fault.parse spec with
+  | Error e -> Alcotest.failf "fault plan %S rejected: %s" spec e
+  | Ok plan ->
+    Fault.set (Some plan);
+    Fun.protect ~finally:Fault.clear f
 
 let with_obs f =
   Obs.reset ();
@@ -555,8 +563,10 @@ let test_plan_isolation () =
   expect "same key reuses" ~hit:true c;
   expect "other circuit value" ~hit:false (fresh c);
   expect "back to the first circuit" ~hit:false c;
-  expect "other engine" ~hit:false
-    ~engine:(Engine.faulty ~rate:0.0 ~seed:1 Engine.model) c;
+  (* Every search of the numeric engine fails at once under the plan, so
+     the miss costs no GRAPE run. *)
+  with_faults "seed=1,nan=1" (fun () ->
+      expect "other engine" ~hit:false ~engine:(Engine.numeric ()) c);
   expect "other max_width" ~hit:false ~max_width:3 c;
   expect "analysis off" ~hit:false ~analysis:false c;
   expect "other theta length" ~hit:false ~theta:[| 0.5; 1.0; 1.5; 2.0 |] c;
@@ -591,6 +601,24 @@ let test_plan_rejects_every_call () =
          r.Strategy.degradations)
   done
 
+(* Tuning measured while an engine-fault plan is active ran at fallback
+   durations: the plan does not keep it, so the next fault-free call
+   prices tuning like a cold compile. *)
+let test_plan_tuning_not_kept_under_faults () =
+  let c = Compiler.prepare (Uccsd.ansatz Molecule.h2) in
+  let theta = [| 0.5; 1.0; 1.5 |] in
+  let compile c =
+    Compiler.compile ~workers:1 ~engine:Engine.model Compiler.Flexible_partial
+      c ~theta
+  in
+  let faulted = with_faults "seed=1,nan=1" (fun () -> compile c) in
+  Alcotest.(check bool) "faults fired" true (Strategy.degraded faulted);
+  let warm = compile c in
+  let cold = compile (fresh c) in
+  Alcotest.(check string) "precompute seconds"
+    (bits cold.Strategy.precompute.Engine.seconds)
+    (bits warm.Strategy.precompute.Engine.seconds)
+
 let test_plan_stamps_each_call () =
   (* The trailing rz(t1) is dead (a PQC061 warning), and a fault plan
      makes every block search fall back: both kinds of degradation
@@ -600,11 +628,11 @@ let test_plan_stamps_each_call () =
       [ (Gate.Rx (Param.var 0), [ 0 ]); (Gate.CX, [ 0; 1 ]);
         (Gate.Rz (Param.var 1), [ 1 ]) ]
   in
-  let engine = Engine.faulty ~seed:5 Engine.model in
   let run_ids rid =
-    Obs.Ctx.with_ctx (Some rid) (fun () ->
-        Compiler.compile ~workers:1 ~engine Compiler.Strict_partial c
-          ~theta:[| 0.3; 0.4 |])
+    with_faults "seed=5,nan=1" (fun () ->
+        Obs.Ctx.with_ctx (Some rid) (fun () ->
+            Compiler.compile ~workers:1 ~engine:Engine.model
+              Compiler.Strict_partial c ~theta:[| 0.3; 0.4 |]))
     |> fun r ->
     List.map
       (fun (d : Pqc_core.Resilience.degradation) -> (d.stage, d.run_id))
@@ -726,4 +754,6 @@ let () =
           Alcotest.test_case "isolation" `Quick test_plan_isolation;
           Alcotest.test_case "rejects every call" `Quick test_plan_rejects_every_call;
           Alcotest.test_case "stamps each call" `Quick test_plan_stamps_each_call;
+          Alcotest.test_case "tuning not kept under engine faults" `Quick
+            test_plan_tuning_not_kept_under_faults;
           Alcotest.test_case "spans" `Quick test_plan_spans ] ) ]

@@ -38,6 +38,13 @@ let with_env key value f =
     ~finally:(fun () -> Unix.putenv key (Option.value old ~default:""))
     f
 
+let with_faults spec f =
+  match Fault.parse spec with
+  | Error e -> Alcotest.failf "fault plan %S rejected: %s" spec e
+  | Ok plan ->
+    Fault.set (Some plan);
+    Fun.protect ~finally:Fault.clear f
+
 (* --- Pool primitives --- *)
 
 let test_pool_input_order () =
@@ -216,6 +223,13 @@ let h2_blocks () =
   Block.partition ~max_width:2 (Circuit.bind c theta)
   |> List.map Block.extract
 
+(* Several distinct small blocks, some repeated: a bound QAOA circuit on
+   K4 partitioned at width 2. *)
+let qaoa_blocks () =
+  let c = Compiler.prepare (Qaoa.circuit (Graph.clique 4) ~p:1) in
+  Block.partition ~max_width:2 (Circuit.bind c [| 0.4; 0.9 |])
+  |> List.map Block.extract
+
 let test_search_many_matches_search () =
   let blocks = h2_blocks () in
   let batch, _, _ =
@@ -270,25 +284,38 @@ let test_cache_hot_batch_never_forks () =
         (List.combine warm hot))
 
 let test_search_many_faulty_invariant () =
-  (* Injection must be a function of the batch, not of worker scheduling:
-     the same blocks under the same fault seed give the same pattern of
+  (* Injection must be a function of the block, not of worker scheduling:
+     the same blocks under the same fault plan give the same pattern of
      fallbacks at any worker count. *)
-  let blocks = h2_blocks () in
-  let run workers =
-    let engine =
-      Engine.faulty ~rate:0.45 ~seed:99 (Engine.numeric ~settings:quick ())
-    in
+  let blocks = qaoa_blocks () in
+  let engine = Engine.numeric ~settings:quick () in
+  let run workers engine =
     let rs, _, _ = Engine.search_many ~workers engine blocks in
     rs
   in
-  let seq = run 1 and par = run 4 in
+  let seq, par =
+    with_faults "seed=99,nan=0.3,no-converge=0.3,stall=0.3" (fun () ->
+        (run 1 (Engine.numeric ~settings:quick ()), run 4 engine))
+  in
   List.iteri
     (fun i (a, b) -> check_same_result (Printf.sprintf "block %d" i) a b)
     (List.combine seq par);
-  (* The fault plan fires for this seed/rate: the test would be vacuous
-     if no block ever degraded. *)
+  (* The parent memoises exactly the blocks no fault was injected into. *)
+  let genuine =
+    List.filter_map
+      (fun (c, r) ->
+        if r.Engine.fallback = None then Some (Engine.block_key c) else None)
+      (List.combine blocks par)
+  in
+  Alcotest.(check int) "genuine results memoised, injected ones not"
+    (List.length (List.sort_uniq compare genuine))
+    (Engine.cache_size engine);
+  (* The fault plan fires for this seed/rate, but not everywhere: the test
+     would be vacuous if no block, or every block, degraded. *)
   Alcotest.(check bool) "some block degraded" true
-    (List.exists (fun r -> r.Engine.fallback <> None) seq)
+    (List.exists (fun r -> r.Engine.fallback <> None) seq);
+  Alcotest.(check bool) "some block searched" true
+    (List.exists (fun r -> r.Engine.fallback = None) seq)
 
 let test_search_many_fault_plan_invariant () =
   (* The supervision contract under chaos: infrastructure faults (worker
@@ -323,22 +350,29 @@ let test_search_many_fault_plan_invariant () =
 
 let test_faulty_results_never_cached () =
   let blocks = h2_blocks () in
-  let engine =
-    Engine.faulty ~rate:1.0 ~seed:3 (Engine.numeric ~settings:quick ())
+  let engine = Engine.numeric ~settings:quick () in
+  let rs, _, _ =
+    with_faults "seed=3,stall=1" (fun () ->
+        Engine.search_many ~workers:4 engine blocks)
   in
-  let rs, _, _ = Engine.search_many ~workers:4 engine blocks in
   Alcotest.(check bool) "all results injected fallbacks" true
     (List.for_all (fun r -> r.Engine.fallback <> None) rs);
   Alcotest.(check int) "nothing cached" 0 (Engine.cache_size engine)
 
 let test_flex_many_worker_count_invariant () =
-  let blocks = h2_blocks () in
+  let blocks = qaoa_blocks () in
   let run workers =
-    let engine = Engine.faulty ~rate:0.3 ~seed:17 Engine.model in
-    let rs, _, _ = Engine.flex_many ~workers engine blocks in
+    let rs, _, _ = Engine.flex_many ~workers Engine.model blocks in
     rs
   in
-  let seq = run 1 and par = run 4 in
+  let seq, par =
+    with_faults "seed=17,nan=0.1,no-converge=0.1,stall=0.1" (fun () ->
+        (run 1, run 4))
+  in
+  Alcotest.(check bool) "some block degraded" true
+    (List.exists
+       (fun (r : Engine.flex_result) -> r.Engine.search.Engine.fallback <> None)
+       seq);
   List.iteri
     (fun i ((a : Engine.flex_result), (b : Engine.flex_result)) ->
       check_same_result (Printf.sprintf "block %d" i) a.Engine.search
@@ -364,13 +398,6 @@ let check_same_flexes msg a b =
   List.iteri
     (fun i (a, b) -> check_same_flex (Printf.sprintf "%s block %d" msg i) a b)
     (List.combine a b)
-
-(* Several distinct small blocks, some repeated: a bound QAOA circuit on
-   K4 partitioned at width 2. *)
-let qaoa_blocks () =
-  let c = Compiler.prepare (Qaoa.circuit (Graph.clique 4) ~p:1) in
-  Block.partition ~max_width:2 (Circuit.bind c [| 0.4; 0.9 |])
-  |> List.map Block.extract
 
 let unique_blocks blocks =
   List.length (List.sort_uniq compare (List.map Engine.block_key blocks))
@@ -458,7 +485,8 @@ let test_flex_memo_faulty_stores_nothing () =
   let blocks = qaoa_blocks () in
   let inner = Engine.numeric ~settings:quick () in
   let rs, _, _ =
-    Engine.flex_many ~workers:4 (Engine.faulty ~rate:1.0 ~seed:3 inner) blocks
+    with_faults "seed=3,nan=1" (fun () ->
+        Engine.flex_many ~workers:4 inner blocks)
   in
   Alcotest.(check bool) "all searches injected" true
     (List.for_all
@@ -513,11 +541,11 @@ let prop_worker_count_invariant =
           (fun _ -> random_block rng (1 + Rng.int rng 2) (1 + Rng.int rng 6))
       in
       let run workers =
-        let engine = Engine.faulty ~rate:0.5 ~seed Engine.model in
-        let rs, _, _ = Engine.search_many ~workers engine blocks in
+        let rs, _, _ = Engine.search_many ~workers Engine.model blocks in
         rs
       in
-      List.for_all2 same_result (run 1) (run (2 + extra_workers)))
+      with_faults (Printf.sprintf "seed=%d,nan=0.2,no-converge=0.2,stall=0.2" seed)
+        (fun () -> List.for_all2 same_result (run 1) (run (2 + extra_workers))))
 
 (* --- Strategy-level equivalence (UCCSD and QAOA) --- *)
 

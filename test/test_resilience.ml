@@ -8,6 +8,7 @@ module Grape = Pqc_grape.Grape
 module Resilience = Pqc_core.Resilience
 module Pulse_cache = Pqc_core.Pulse_cache
 module Engine = Pqc_core.Engine
+module Fault = Pqc_core.Fault
 module Strategy = Pqc_core.Strategy
 module Compiler = Pqc_core.Compiler
 module Molecule = Pqc_vqe.Molecule
@@ -316,9 +317,18 @@ let test_block_key_distinguishes_operands () =
 let small_block =
   Circuit.of_gates 2 [ (Gate.H, [ 0 ]); (Gate.CX, [ 0; 1 ]) ]
 
-let check_fallback name kinds expected =
-  let engine = Engine.faulty ~rate:1.0 ~kinds ~seed:7 Engine.model in
-  let r = Engine.search engine small_block in
+let with_faults spec f =
+  match Fault.parse spec with
+  | Error e -> Alcotest.failf "fault plan %S rejected: %s" spec e
+  | Ok plan ->
+    Fault.set (Some plan);
+    Fun.protect ~finally:Fault.clear f
+
+let check_fallback name expected =
+  let r =
+    with_faults ("seed=7," ^ name ^ "=1") (fun () ->
+        Engine.search Engine.model small_block)
+  in
   Alcotest.(check bool) (name ^ " duration finite") true
     (Float.is_finite r.Engine.duration_ns);
   Alcotest.(check (float 1e-9)) (name ^ " falls back to lookup duration")
@@ -326,35 +336,38 @@ let check_fallback name kinds expected =
   Alcotest.(check bool) (name ^ " fallback recorded") true
     (r.Engine.fallback = Some expected)
 
-let test_faulty_nan () =
-  check_fallback "nan" [| Engine.Nan_fidelity |] Resilience.Non_finite
+let test_faulty_nan () = check_fallback "nan" Resilience.Non_finite
 
 let test_faulty_no_converge () =
-  check_fallback "no-converge" [| Engine.No_converge |] Resilience.Diverged
+  check_fallback "no-converge" Resilience.Diverged
 
-let test_faulty_stall () =
-  check_fallback "stall" [| Engine.Stall |] Resilience.Deadline_exceeded
+let test_faulty_stall () = check_fallback "stall" Resilience.Deadline_exceeded
 
+(* Engine sites at rate 0 beside a storage site: searches see nothing. *)
 let test_faulty_zero_rate_is_transparent () =
   let plain = Engine.search Engine.model small_block in
-  let wrapped =
-    Engine.search (Engine.faulty ~rate:0.0 ~seed:3 Engine.model) small_block
+  let planned =
+    with_faults "seed=3,nan=0,no-converge=0,stall=0,enospc=1" (fun () ->
+        Engine.search Engine.model small_block)
   in
   Alcotest.(check (float 1e-12)) "same duration" plain.Engine.duration_ns
-    wrapped.Engine.duration_ns;
-  Alcotest.(check bool) "no fallback" true (wrapped.Engine.fallback = None)
+    planned.Engine.duration_ns;
+  Alcotest.(check bool) "no fallback" true (planned.Engine.fallback = None)
 
 let test_faulty_results_not_cached () =
-  let inner = Engine.numeric ~settings:quick () in
-  let engine = Engine.faulty ~rate:1.0 ~seed:5 inner in
-  let r = Engine.search engine (rx_block 0.7) in
+  let engine = Engine.numeric ~settings:quick () in
+  let r =
+    with_faults "seed=5,no-converge=1" (fun () ->
+        Engine.search engine (rx_block 0.7))
+  in
   Alcotest.(check bool) "degraded" true (r.Engine.fallback <> None);
-  Alcotest.(check int) "poisoned result not memoized" 0 (Engine.cache_size inner)
+  Alcotest.(check int) "poisoned result not memoized" 0
+    (Engine.cache_size engine)
 
+(* An engine-fault plan that injects nothing is not a plan. *)
 let test_faulty_rejects_empty_kinds () =
-  Alcotest.(check bool) "raises" true
-    (try ignore (Engine.faulty ~kinds:[||] ~seed:0 Engine.model); false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "rejected" true
+    (Result.is_error (Fault.parse "seed=0,nan=0,no-converge=0,stall=0"))
 
 let nan_system n =
   let sys = Hamiltonian.gmon n in
@@ -470,10 +483,17 @@ let test_engine_cache_miss_then_hit_accounting () =
 let h2_prepared = lazy (Compiler.prepare (Uccsd.ansatz Molecule.h2))
 let h2_theta = [| 0.5; 1.0; 1.5 |]
 
+(* Total engine fault: every block search fails, and in the last plan
+   with all three reasons. *)
+let total_fault_plans =
+  [ "seed=11,nan=1"; "seed=11,no-converge=1"; "seed=11,stall=1";
+    "seed=11,nan=0.4,no-converge=0.4,stall=1" ]
+
 let test_all_strategies_survive_injected_faults () =
   List.iter
-    (fun kinds ->
-      let engine = Engine.faulty ~rate:1.0 ~kinds ~seed:11 Engine.model in
+    (fun spec ->
+      with_faults spec @@ fun () ->
+      let engine = Engine.model in
       let c = Lazy.force h2_prepared in
       List.iter
         (fun strat ->
@@ -488,17 +508,18 @@ let test_all_strategies_survive_injected_faults () =
               (Strategy.degraded r
               && String.length (Strategy.degradation_report r) > 0))
         Compiler.all_strategies)
-    [ [| Engine.Nan_fidelity |]; [| Engine.No_converge |]; [| Engine.Stall |];
-      [| Engine.Nan_fidelity; Engine.No_converge; Engine.Stall |] ]
+    total_fault_plans
 
 let test_strict_fallback_branch_under_faults () =
   (* With every block search degraded, strict partial's schedule is built
      from lookup durations; the Float.min against the plain gate-based
      duration must keep "strict never worse" true. *)
-  let engine = Engine.faulty ~rate:1.0 ~seed:2 Engine.model in
   let c = Lazy.force h2_prepared in
   let g = Compiler.gate_based c ~theta:h2_theta in
-  let s = Compiler.strict_partial ~engine c ~theta:h2_theta in
+  let s =
+    with_faults "seed=2,nan=0.4,no-converge=0.4,stall=1" (fun () ->
+        Compiler.strict_partial ~engine:Engine.model c ~theta:h2_theta)
+  in
   Alcotest.(check bool) "strict <= gate under total fault" true
     (s.Strategy.duration_ns <= g.Strategy.duration_ns +. 1e-9);
   Alcotest.(check bool) "strict duration finite" true
